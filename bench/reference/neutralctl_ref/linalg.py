@@ -1,0 +1,315 @@
+"""Finite-dimensional linear algebra: tolerance-based numerical rank,
+controllability (Kalman) matrices, the two equivalent rank tests for the
+neutral coefficient, the controllability staircase decomposition and
+disk-targeted pole placement.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "DEFAULT_RANK_TOL",
+    "ZERO_EIG_RTOL",
+    "RankReport",
+    "PairTestResult",
+    "Staircase",
+    "UnstabilizableMode",
+    "PlacementError",
+    "numerical_rank",
+    "kalman_matrix",
+    "inclusion_rank_test",
+    "eigen_rank_test",
+    "controllable_staircase",
+    "pole_place_nonzero",
+    "zero_eig_cutoff",
+]
+
+DEFAULT_RANK_TOL = 1e-9
+
+# Eigenvalues mu of a matrix A with |mu| <= ZERO_EIG_RTOL * ||A|| count as zero
+# wherever a dichotomy "mu != 0" must be decided in floating point.
+ZERO_EIG_RTOL = 1e-9
+
+
+class UnstabilizableMode(ValueError):
+    """An uncontrollable eigenvalue lies on or outside the target disk."""
+
+    def __init__(self, mu):
+        self.mu = complex(mu)
+        super().__init__(
+            f"uncontrollable eigenvalue {self.mu} cannot be moved inside the disk"
+        )
+
+
+class PlacementError(RuntimeError):
+    """Pole placement failed verification after all retry attempts."""
+
+
+@dataclass(frozen=True)
+class RankReport:
+    """Numerical rank of one matrix: rank = #{sigma_i > tolerance_used}."""
+
+    rank: int
+    singular_values: np.ndarray
+    tolerance_used: float
+
+
+@dataclass(frozen=True)
+class PairTestResult:
+    """Outcome of a rank test on a matrix pair, with numeric evidence.
+
+    For the inclusion test the reports are (rank of K, rank of [K, A^n]).
+    Witnesses hold (mu, left null vector, rank found) triples on failure.
+    """
+
+    passed: bool
+    reports: tuple[RankReport, ...]
+    witnesses: tuple[tuple[complex, np.ndarray, int], ...] = ()
+
+
+def zero_eig_cutoff(A) -> float:
+    nrm = float(np.linalg.norm(A, 2)) if A.size else 0.0
+    return ZERO_EIG_RTOL * nrm
+
+
+def deadbeat_zero_cutoff(M) -> float:
+    """Threshold below which computed eigenvalues count as exact zeros.
+
+    A nilpotent block of order n reports eigenvalues scattered up to about
+    ||M|| * eps^(1/n), far above the plain zero cutoff.
+    """
+    M = np.asarray(M)
+    n = max(M.shape[0], 1)
+    nrm = float(np.linalg.norm(M, 2)) if M.size else 0.0
+    return max(zero_eig_cutoff(M), 8.0 * nrm * float(np.finfo(float).eps) ** (1.0 / n))
+
+
+def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> RankReport:
+    """Rank of M via SVD with relative threshold tol * sigma_max * max(dims)."""
+    M = np.asarray(M)
+    if M.size == 0:
+        raise ValueError("numerical_rank needs a nonempty matrix")
+    s = np.linalg.svd(M, compute_uv=False)
+    cutoff = tol * (s[0] if s.size else 0.0) * max(M.shape)
+    rank = int(np.count_nonzero(s > cutoff))
+    return RankReport(rank=rank, singular_values=s, tolerance_used=cutoff)
+
+
+def kalman_matrix(A, B) -> np.ndarray:
+    """Horizontal concatenation [B, AB, ..., A^{n-1} B]."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    if A.shape != (n, n) or B.shape[0] != n:
+        raise ValueError(f"incompatible shapes {A.shape} and {B.shape}")
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(A @ blocks[-1])
+    return np.hstack(blocks)
+
+
+def inclusion_rank_test(A, B, tol: float = DEFAULT_RANK_TOL) -> PairTestResult:
+    """Decide whether the image of A^n lies in the image of the Kalman matrix.
+
+    Equivalent to: rank [mu I - A, B] = n for every eigenvalue mu != 0.
+    Decided exactly from two finite ranks, no eigenvalue sweep needed.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    K = kalman_matrix(A, B)
+    r1 = numerical_rank(K, tol)
+    r2 = numerical_rank(np.hstack([K, np.linalg.matrix_power(A, n)]), tol)
+    return PairTestResult(passed=r1.rank == r2.rank, reports=(r1, r2))
+
+
+def _left_null_vector(M):
+    # v with v^H M ~ 0: left singular vector of the smallest singular value.
+    U, _, _ = np.linalg.svd(M)
+    return U[:, -1]
+
+
+def eigen_rank_test(A, B, tol: float = DEFAULT_RANK_TOL) -> PairTestResult:
+    """Check rank [mu I - A, B] = n at every nonzero eigenvalue mu of A.
+
+    On failure the witnesses carry the offending mu and a left null vector v
+    with v^H [mu I - A, B] ~ 0.  Eigensolver failures propagate.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    eigs = np.linalg.eigvals(A)
+    cutoff = zero_eig_cutoff(A)
+    witnesses = []
+    reports = []
+    seen = []
+    for mu in sorted(eigs, key=lambda z: (z.real, z.imag)):
+        if abs(mu) <= cutoff:
+            continue
+        if any(abs(mu - s) <= 1e-12 * (1.0 + abs(mu)) for s in seen):
+            continue
+        seen.append(mu)
+        M = np.hstack([mu * np.eye(n) - A, B.astype(complex)])
+        rep = numerical_rank(M, tol)
+        reports.append(rep)
+        if rep.rank < n:
+            witnesses.append((complex(mu), _left_null_vector(M), rep.rank))
+    return PairTestResult(
+        passed=not witnesses, reports=tuple(reports), witnesses=tuple(witnesses)
+    )
+
+
+@dataclass(frozen=True)
+class Staircase:
+    """Orthogonal controllability decomposition of a pair (A, B).
+
+    Q^T A Q has the controllable block of size n_controllable leading and a
+    zero block below it; Q^T B is zero outside the leading rows.  The
+    eigenvalues of the trailing block are exactly the uncontrollable modes.
+    """
+
+    Q: np.ndarray
+    block_sizes: tuple[int, ...]
+    n_controllable: int
+    A_t: np.ndarray
+    B_t: np.ndarray
+
+    @property
+    def uncontrollable_eigenvalues(self):
+        r = self.n_controllable
+        if r == self.A_t.shape[0]:
+            return np.array([], dtype=complex)
+        return np.linalg.eigvals(self.A_t[r:, r:])
+
+
+def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
+    """Orthogonal similarity splitting (A, B) into controllable and
+    uncontrollable blocks by repeated SVDs of the sub-input blocks."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    Q = np.eye(n)
+    A_t = A.copy()
+    B_t = B.copy()
+    sizes = []
+    row0 = 0
+    blk = B_t
+    while row0 < n:
+        U, s, _ = np.linalg.svd(blk)
+        cutoff = tol * (s[0] if s.size else 0.0) * max(blk.shape)
+        r = int(np.count_nonzero(s > cutoff))
+        if r == 0:
+            break
+        Qk = np.eye(n)
+        Qk[row0:, row0:] = U
+        A_t = Qk.T @ A_t @ Qk
+        B_t = Qk.T @ B_t
+        Q = Q @ Qk
+        sizes.append(r)
+        prev = row0
+        row0 += r
+        if row0 >= n:
+            break
+        blk = A_t[row0:, prev:row0]
+    return Staircase(
+        Q=Q,
+        block_sizes=tuple(sizes),
+        n_controllable=row0,
+        A_t=A_t,
+        B_t=B_t,
+    )
+
+
+def _ackermann(Ac, bc, targets):
+    # Single-input gain for char poly prod (lambda - t_i); deadbeat when all 0.
+    r = Ac.shape[0]
+    K = kalman_matrix(Ac, bc.reshape(r, 1))
+    coeffs = np.atleast_1d(np.poly(targets)) if len(targets) else np.array([1.0])
+    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
+        raise ValueError("placement targets must be closed under conjugation")
+    coeffs = coeffs.real
+    pA = np.zeros_like(Ac)
+    for c in coeffs:
+        pA = pA @ Ac + c * np.eye(r)
+    x = np.linalg.solve(K.T, np.eye(r)[:, -1])
+    return -(x @ pA)
+
+
+def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_RANK_TOL):
+    """Gain F such that every eigenvalue of A + B F has modulus < radius,
+    except eigenvalues equal to zero, which may stay at zero.
+
+    Controllable modes are moved to `targets` (default: all zero, deadbeat),
+    confined to the controllable block of the staircase form.  Raises
+    UnstabilizableMode when a nonzero uncontrollable eigenvalue has modulus
+    >= radius, and PlacementError if the verifying eigensolve rejects every
+    candidate gain.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    m = B.shape[1]
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    st = controllable_staircase(A, B, tol)
+    r = st.n_controllable
+    zcut = zero_eig_cutoff(A)
+    for mu in sorted(st.uncontrollable_eigenvalues, key=lambda z: -abs(z)):
+        if abs(mu) > zcut and abs(mu) >= radius:
+            raise UnstabilizableMode(mu)
+    if r == 0:
+        return np.zeros((m, n))
+    if targets is None:
+        targets = [0.0] * r
+    targets = sorted((complex(t) for t in targets), key=lambda z: (abs(z), z.real, z.imag))
+    if len(targets) != r:
+        raise ValueError(f"need exactly {r} placement targets, got {len(targets)}")
+    if any(abs(t) >= radius and abs(t) > zcut for t in targets):
+        raise ValueError("placement targets must lie inside the disk or at zero")
+    Ac = st.A_t[:r, :r]
+    Bc = st.B_t[:r, :]
+
+    candidates = []
+    for attempt in range(24):
+        if m == 1:
+            if attempt > 0:
+                break
+            try:
+                fc = _ackermann(Ac, Bc[:, 0], targets)
+            except np.linalg.LinAlgError:
+                break
+            candidates.append(fc.reshape(1, r))
+        else:
+            rng = np.random.default_rng(1234 + attempt)
+            v = rng.standard_normal(m)
+            v /= np.linalg.norm(v)
+            F0 = np.zeros((m, r)) if attempt == 0 else 0.5 * rng.standard_normal((m, r))
+            A1c = Ac + Bc @ F0
+            b1 = Bc @ v
+            if controllable_staircase(A1c, b1.reshape(r, 1), tol).n_controllable < r:
+                continue
+            try:
+                f = _ackermann(A1c, b1, targets)
+            except np.linalg.LinAlgError:
+                continue
+            candidates.append(F0 + np.outer(v, f))
+        Fc = candidates[-1]
+        F = np.zeros((m, n))
+        F[:, :r] = Fc
+        F = F @ st.Q.T
+        if _placement_ok(A, B, F, radius, targets):
+            return F
+    raise PlacementError(
+        f"could not verify any gain placing the controllable spectrum inside radius {radius}"
+    )
+
+
+def _placement_ok(A, B, F, radius, targets):
+    M = A + B @ F
+    eigs = np.linalg.eigvals(M)
+    zcut = deadbeat_zero_cutoff(M)
+    if not all(abs(t) < 1e-12 for t in targets):
+        zcut = zero_eig_cutoff(M)
+    return bool(np.all((np.abs(eigs) < radius) | (np.abs(eigs) <= zcut)))

@@ -1,0 +1,700 @@
+"""Spectrum of a neutral delay system.
+
+The eigenvalues are the zeros of det D(lambda) where
+
+    D(lambda) = lambda I - lambda e^{-lambda} A_minus1 - A0 - e^{-lambda} A1
+                - sum over segments [(e^{lambda b} - e^{lambda a}) A2
+                                     + phi(lambda; a, b) A3],
+
+with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda continued
+through lambda = 0 by its power series.  Zeros are counted on rectangle
+boundaries by the argument principle, isolated by adaptive subdivision and
+refined by multiplicity-aware Newton iteration on the determinant.  Each
+nonzero eigenvalue mu of A_minus1 generates a vertical chain of eigenvalues
+approaching ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from .linalg import zero_eig_cutoff
+from .system import NeutralSystem
+
+__all__ = [
+    "SpectrumRegion",
+    "Root",
+    "SpectrumChain",
+    "SpectrumError",
+    "SingularAtEvaluationPoint",
+    "ContourThroughZero",
+    "QuadratureNotConverged",
+    "MaxDepthExceeded",
+    "RootAccountingError",
+    "delta",
+    "delta_many",
+    "delta_derivative",
+    "delta_derivative_many",
+    "det_logderiv",
+    "count_zeros",
+    "find_roots",
+    "predict_chains",
+    "spectral_abscissa",
+    "spectral_right_bound",
+    "default_region",
+    "roots_to_csv",
+    "resolve_threads",
+]
+
+DEFAULT_ROOT_TOL = 1e-9
+
+# Kernel coefficients switch to their 6-term power series below this |lambda|.
+_SERIES_CUT = 1e-4
+
+# Leaf geometry limits for the subdivision search.
+_NEWTON_DIAM = 2.0
+_MIN_LEAF = 1e-10
+_SPLIT_FRACTIONS = (0.5, 0.375, 0.625, 0.4375, 0.5625, 0.34375, 0.65625, 0.40625, 0.59375)
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+class SpectrumError(RuntimeError):
+    """Base class for spectrum-search failures."""
+
+
+class SingularAtEvaluationPoint(SpectrumError):
+    """det D(lambda) vanished where the logarithmic derivative was needed."""
+
+
+class ContourThroughZero(SpectrumError):
+    """A zero stayed on the counting contour through all perturbation attempts."""
+
+
+class QuadratureNotConverged(SpectrumError):
+    """Boundary quadrature never settled within 0.25 of an integer."""
+
+
+class MaxDepthExceeded(SpectrumError):
+    """Subdivision reached the minimum leaf size without isolating a root."""
+
+
+class RootAccountingError(SpectrumError):
+    """Refined multiplicities do not add up to the region count."""
+
+
+@dataclass(frozen=True)
+class SpectrumRegion:
+    """Closed axis-aligned rectangle in the complex plane."""
+
+    re_min: float
+    re_max: float
+    im_min: float
+    im_max: float
+
+    def __post_init__(self):
+        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+            raise ValueError(
+                f"degenerate region [{self.re_min}, {self.re_max}] x "
+                f"[{self.im_min}, {self.im_max}]"
+            )
+
+    @property
+    def width(self):
+        return self.re_max - self.re_min
+
+    @property
+    def height(self):
+        return self.im_max - self.im_min
+
+    @property
+    def center(self):
+        return complex(0.5 * (self.re_min + self.re_max), 0.5 * (self.im_min + self.im_max))
+
+    def symmetrized(self) -> "SpectrumRegion":
+        """Reflection-symmetric cover about the real axis."""
+        top = max(abs(self.im_min), abs(self.im_max))
+        return SpectrumRegion(self.re_min, self.re_max, -top, top)
+
+    def contains(self, lam: complex, pad: float = 0.0) -> bool:
+        return (
+            self.re_min - pad <= lam.real <= self.re_max + pad
+            and self.im_min - pad <= lam.imag <= self.im_max + pad
+        )
+
+
+@dataclass(frozen=True)
+class Root:
+    """Located zero of det D with its isolating-count multiplicity."""
+
+    lam: complex
+    multiplicity: int
+    residual: float
+    newton_iterations: int
+
+
+@dataclass(frozen=True)
+class SpectrumChain:
+    """Vertical eigenvalue chain generated by a nonzero eigenvalue of A_minus1."""
+
+    mu: complex
+    multiplicity: int
+    abscissa: float
+    phase: float
+
+    def predict(self, k: int) -> complex:
+        return complex(self.abscissa, self.phase + 2.0 * math.pi * k)
+
+
+def _phi_many(lam, a, b):
+    # integral of e^{lambda s} over [a, b]; removable singularity at 0.
+    lam = np.asarray(lam, dtype=complex)
+    out = np.empty_like(lam)
+    small = np.abs(lam) < _SERIES_CUT
+    big = ~small
+    lb = lam[big]
+    out[big] = (np.exp(lb * b) - np.exp(lb * a)) / lb
+    ls = lam[small]
+    acc = np.zeros_like(ls)
+    for k in range(5, -1, -1):
+        acc = acc * ls + (b ** (k + 1) - a ** (k + 1)) / math.factorial(k + 1)
+    out[small] = acc
+    return out
+
+
+def _phi_prime_many(lam, a, b):
+    lam = np.asarray(lam, dtype=complex)
+    out = np.empty_like(lam)
+    small = np.abs(lam) < _SERIES_CUT
+    big = ~small
+    lb = lam[big]
+    eb = np.exp(lb * b)
+    ea = np.exp(lb * a)
+    out[big] = ((b * eb - a * ea) * lb - (eb - ea)) / (lb * lb)
+    ls = lam[small]
+    acc = np.zeros_like(ls)
+    for k in range(6, 0, -1):
+        acc = acc * ls + k * (b ** (k + 1) - a ** (k + 1)) / math.factorial(k + 1)
+    out[small] = acc
+    return out
+
+
+def delta_many(sys: NeutralSystem, lam) -> np.ndarray:
+    """Characteristic matrices D(lambda) for an array of points, shape (K, n, n)."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.exp(-lam)
+        eye = np.eye(sys.n)
+        T = (
+            lam[:, None, None] * eye
+            - (lam * E)[:, None, None] * sys.A_minus1
+            - sys.A0
+            - E[:, None, None] * sys.A1
+        )
+        for seg in sys.kernels:
+            c2 = np.exp(lam * seg.b) - np.exp(lam * seg.a)
+            c3 = _phi_many(lam, seg.a, seg.b)
+            T = T - c2[:, None, None] * seg.A2 - c3[:, None, None] * seg.A3
+    return T
+
+
+def delta(sys: NeutralSystem, lam: complex) -> np.ndarray:
+    """Characteristic matrix D(lambda) at a single point."""
+    return delta_many(sys, [lam])[0]
+
+
+def delta_derivative_many(sys: NeutralSystem, lam) -> np.ndarray:
+    """Analytic derivative D'(lambda) for an array of points."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = np.exp(-lam)
+        eye = np.eye(sys.n)
+        T = (
+            np.broadcast_to(eye, (lam.size, sys.n, sys.n)).astype(complex).copy()
+            - ((1.0 - lam) * E)[:, None, None] * sys.A_minus1
+            + E[:, None, None] * sys.A1
+        )
+        for seg in sys.kernels:
+            c2 = seg.b * np.exp(lam * seg.b) - seg.a * np.exp(lam * seg.a)
+            c3 = _phi_prime_many(lam, seg.a, seg.b)
+            T = T - c2[:, None, None] * seg.A2 - c3[:, None, None] * seg.A3
+    return T
+
+
+def delta_derivative(sys: NeutralSystem, lam: complex) -> np.ndarray:
+    return delta_derivative_many(sys, [lam])[0]
+
+
+def _det_logderiv_many(sys, lam):
+    T = delta_many(sys, lam)
+    Td = delta_derivative_many(sys, lam)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = np.linalg.det(T)
+        try:
+            X = np.linalg.solve(T, Td)
+        except np.linalg.LinAlgError as e:
+            raise SingularAtEvaluationPoint(str(e)) from e
+        logd = np.trace(X, axis1=1, axis2=2)
+    return det, logd
+
+
+def det_logderiv(sys: NeutralSystem, lam: complex):
+    """(det D(lambda), trace(D^{-1} D')) via one LU factorization.
+
+    The trace equals (det)'/det by Jacobi's formula.  Raises
+    SingularAtEvaluationPoint when D(lambda) is singular.
+    """
+    det, logd = _det_logderiv_many(sys, [lam])
+    return complex(det[0]), complex(logd[0])
+
+
+class _EdgeTrouble(Exception):
+    # internal: the edge cannot be resolved; reason "floor" means det vanished
+    # on the contour, "budget" that refinement never settled
+    def __init__(self, reason):
+        self.reason = reason
+        super().__init__(reason)
+
+
+def _gl_batch(sys, z0, z1, segs):
+    # One GL10 integral of logderiv per (a, b) sub-segment of [z0, z1], with
+    # the |det| node magnitudes for the vanishing-determinant floor check.
+    segs = np.asarray(segs)
+    a = segs[:, 0][:, None]
+    hw = 0.5 * (segs[:, 1] - segs[:, 0])[:, None]
+    s = (a + (_GL_NODES + 1.0) * hw).ravel()
+    w = (np.broadcast_to(_GL_WEIGHTS, (segs.shape[0], 10)) * hw).ravel()
+    det, logd = _det_logderiv_many(sys, z0 + s * (z1 - z0))
+    vals = (w * logd).reshape(segs.shape[0], 10).sum(axis=1) * (z1 - z0)
+    return vals, np.abs(det)
+
+
+# Edge integrals aim below this absolute error so that the total winding
+# estimate is reliably within 0.25 of the true integer.
+_EDGE_BUDGET = 0.47 / 4.0
+_MIN_SEG = 1e-12
+_MAX_SEGS = 4000
+
+
+def _adaptive_edge(sys, z0, z1):
+    # Panel-adaptive quadrature of logderiv along one edge: each panel is
+    # halved until the halved sum agrees with the coarse value, which fails
+    # to terminate only when a zero of det sits (numerically) on the edge.
+    n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
+    segs = [(i / n0, (i + 1) / n0) for i in range(n0)]
+    try:
+        coarse, mags = _gl_batch(sys, z0, z1, segs)
+    except SingularAtEvaluationPoint:
+        raise _EdgeTrouble("floor") from None
+    if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(coarse)):
+        raise _EdgeTrouble("floor")
+    med = float(np.median(mags))
+    min_det = float(np.min(mags))
+    total = 0.0 + 0.0j
+    active = list(zip(segs, coarse))
+    processed = len(segs)
+    while active:
+        halves = []
+        for (a, b), _ in active:
+            m = 0.5 * (a + b)
+            halves.append((a, m))
+            halves.append((m, b))
+        try:
+            vals, mags = _gl_batch(sys, z0, z1, halves)
+        except SingularAtEvaluationPoint:
+            raise _EdgeTrouble("floor") from None
+        if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
+            raise _EdgeTrouble("floor")
+        min_det = min(min_det, float(np.min(mags)))
+        if min_det <= 1e-12 * med:
+            raise _EdgeTrouble("floor")
+        nxt = []
+        for i, ((a, b), old) in enumerate(active):
+            left, right = vals[2 * i], vals[2 * i + 1]
+            fine = left + right
+            if (b - a) <= _MIN_SEG and abs(fine - old) > _EDGE_BUDGET:
+                raise _EdgeTrouble("budget")
+            if abs(fine - old) <= _EDGE_BUDGET * (b - a) or (b - a) <= _MIN_SEG:
+                total += fine
+            else:
+                nxt.append(((a, 0.5 * (a + b)), left))
+                nxt.append(((0.5 * (a + b), b), right))
+        processed += len(nxt)
+        if processed > _MAX_SEGS:
+            raise _EdgeTrouble("budget")
+        active = nxt
+    return total, min_det, med
+
+
+def _try_winding(sys, rect):
+    corners = [
+        complex(rect.re_min, rect.im_min),
+        complex(rect.re_max, rect.im_min),
+        complex(rect.re_max, rect.im_max),
+        complex(rect.re_min, rect.im_max),
+    ]
+    total = 0.0 + 0.0j
+    min_det = math.inf
+    med = 0.0
+    try:
+        for i in range(4):
+            part, mn, md = _adaptive_edge(sys, corners[i], corners[(i + 1) % 4])
+            total += part
+            min_det = min(min_det, mn)
+            med = max(med, md)
+    except _EdgeTrouble as e:
+        return ("near_zero" if e.reason == "floor" else "noconv"), None
+    if min_det <= 1e-12 * med:
+        return "near_zero", None
+    W = total / (2.0j * math.pi)
+    if not np.isfinite(W):
+        return "near_zero", None
+    k = int(round(W.real))
+    if k >= 0 and abs(W - k) <= 0.25:
+        return "ok", k
+    return "noconv", None
+
+
+def _inflate(rect, attempt):
+    # Deterministic pseudo-random inflation by 1e-6 .. 1e-4 of the size per side.
+    key = repr((rect.re_min, rect.re_max, rect.im_min, rect.im_max, attempt)).encode()
+    digest = hashlib.sha256(key).digest()
+    fs = []
+    for i in range(4):
+        u = int.from_bytes(digest[8 * i : 8 * i + 8], "big") / 2.0**64
+        fs.append(1e-6 * (100.0**u))
+    w, h = rect.width, rect.height
+    return SpectrumRegion(
+        rect.re_min - fs[0] * w,
+        rect.re_max + fs[1] * w,
+        rect.im_min - fs[2] * h,
+        rect.im_max + fs[3] * h,
+    )
+
+
+def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
+    """Number of zeros of det D inside the rectangle, counting multiplicity.
+
+    The winding number of det D over the boundary is integrated by adaptive
+    Gauss-Legendre panels until it lies within 0.25 of an integer.  The
+    contour is always a copy of the rectangle inflated by a deterministic
+    pseudo-random factor in [1e-6, 1e-4] of its size; a zero exactly on the
+    requested boundary would otherwise contribute a half winding (an integer
+    for even multiplicities, hence undetectable).  Up to 8 further inflation
+    attempts are made when det vanishes on the contour.
+    """
+    saw_near = False
+    for attempt in range(9):
+        status, k = _try_winding(sys, _inflate(region, attempt))
+        if status == "ok":
+            return k
+        saw_near = saw_near or status == "near_zero"
+    if saw_near:
+        raise ContourThroughZero(
+            f"zero of det D persists on the boundary of {region} after 8 perturbations"
+        )
+    raise QuadratureNotConverged(f"winding number did not stabilize on {region}")
+
+
+def _residual(sys, lam):
+    # |det| at lam over the largest |det| on four probe points at a local
+    # scale; returns (residual, probe scale, probe radius).
+    r = 1e-2 * (1.0 + abs(lam))
+    probes = lam + r * np.array([1.0, 1.0j, -1.0, -1.0j])
+    vals = np.abs(np.linalg.det(delta_many(sys, probes)))
+    scale = float(np.max(vals))
+    here = abs(np.linalg.det(delta(sys, lam)))
+    if scale == 0.0:
+        return 0.0, scale, r
+    return float(here / scale), scale, r
+
+
+def _newton_cluster(sys, rect, count, tol):
+    # Multiplicity-aware Newton from the rectangle center.  For multiple roots
+    # the determinant bottoms out at the cancellation noise of the matrix
+    # entries, so the iteration keeps its best point and stops on stall; the
+    # accepted root must then pass the residual test and an isolating count
+    # (tried at growing radii until the contour clears the noise floor).
+    lam = rect.center
+    pad = 0.25 * max(rect.width, rect.height)
+    best = None
+    best_mag = math.inf
+    stall = 0
+    iterations = 0
+    for _ in range(60):
+        iterations += 1
+        try:
+            det, logd = det_logderiv(sys, lam)
+        except SingularAtEvaluationPoint:
+            best, best_mag = lam, 0.0
+            break
+        mag = abs(det)
+        if mag < best_mag:
+            best, best_mag, stall = lam, mag, 0
+        else:
+            stall += 1
+            if stall >= 4:
+                break
+        if mag == 0.0 or not np.isfinite(logd):
+            break
+        step = -count / logd
+        nxt = lam + step
+        if not rect.contains(nxt, pad=pad):
+            break
+        lam = nxt
+        if abs(step) <= 1e-14 * (1.0 + abs(lam)):
+            try:
+                mag = abs(det_logderiv(sys, lam)[0])
+            except SingularAtEvaluationPoint:
+                mag = 0.0
+            if mag <= best_mag:
+                best, best_mag = lam, mag
+            break
+    if best is None or not rect.contains(best, pad=0.0):
+        return None
+    lam = best
+    res, probe_scale, probe_r = _residual(sys, lam)
+    if res > tol:
+        return None
+    cap = 0.3 * min(0.5 * rect.width, 0.5 * rect.height)
+    scale = 1.0 + abs(lam)
+    # an isolating contour is pointless while |det| on it would drown in the
+    # determinant noise seen at the Newton stall point
+    r_noise = 0.0
+    if best_mag > 0.0 and probe_scale > 0.0:
+        r_noise = probe_r * (100.0 * best_mag / probe_scale) ** (1.0 / count)
+    radii = [
+        r * scale
+        for r in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+        if r * scale <= cap and r * scale >= r_noise
+    ]
+    if not radii:
+        radii = [min(max(1e-7 * scale, r_noise), cap)]
+    for iso in radii:
+        iso_rect = SpectrumRegion(
+            lam.real - iso, lam.real + iso, lam.imag - iso, lam.imag + iso
+        )
+        try:
+            got = count_zeros(sys, iso_rect)
+        except SpectrumError:
+            continue
+        if got == count:
+            return Root(lam=lam, multiplicity=count, residual=res, newton_iterations=iterations)
+    return None
+
+
+def _split(sys, rect, count):
+    vertical = rect.height >= rect.width  # split the longer extent
+    for frac in _SPLIT_FRACTIONS:
+        if vertical:
+            cut = rect.im_min + frac * rect.height
+            r1 = SpectrumRegion(rect.re_min, rect.re_max, rect.im_min, cut)
+            r2 = SpectrumRegion(rect.re_min, rect.re_max, cut, rect.im_max)
+        else:
+            cut = rect.re_min + frac * rect.width
+            r1 = SpectrumRegion(rect.re_min, cut, rect.im_min, rect.im_max)
+            r2 = SpectrumRegion(cut, rect.re_max, rect.im_min, rect.im_max)
+        try:
+            c1 = count_zeros(sys, r1)
+            c2 = count_zeros(sys, r2)
+        except SpectrumError:
+            continue
+        if c1 + c2 == count:
+            return [(r1, c1), (r2, c2)]
+    raise ContourThroughZero(
+        f"no subdivision line of {rect} kept the zero count consistent"
+    )
+
+
+def _process_node(sys, rect, count, tol):
+    if count == 0:
+        return "roots", []
+    diam = math.hypot(rect.width, rect.height)
+    if diam <= _NEWTON_DIAM:
+        root = _newton_cluster(sys, rect, count, tol)
+        if root is not None:
+            return "roots", [root]
+    if max(rect.width, rect.height) < _MIN_LEAF:
+        raise MaxDepthExceeded(f"leaf {rect} below {_MIN_LEAF} still holds {count} zeros")
+    return "split", _split(sys, rect, count)
+
+
+def resolve_threads(threads=None) -> int:
+    """Worker count: explicit argument, else NEUTRALCTL_THREADS, else 1."""
+    if threads is None:
+        raw = os.environ.get("NEUTRALCTL_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            threads = 1
+    return max(1, min(32, int(threads)))
+
+
+def _conjugate_close(roots):
+    out = []
+    for r in roots:
+        lam = r.lam
+        if abs(lam.imag) <= 1e-9 * (1.0 + abs(lam)):
+            lam = complex(lam.real, 0.0)
+        out.append(Root(lam, r.multiplicity, r.residual, r.newton_iterations))
+    pos = [r for r in out if r.lam.imag > 0]
+    neg = {id(r): r for r in out if r.lam.imag < 0}
+    replace = {}
+    for rp in pos:
+        best = None
+        best_d = math.inf
+        for rid, rn in neg.items():
+            d = abs(rn.lam - rp.lam.conjugate())
+            if d < best_d:
+                best, best_d = rid, d
+        if best is not None and best_d <= 1e-6 * (1.0 + abs(rp.lam)):
+            rn = neg.pop(best)
+            if rn.multiplicity == rp.multiplicity:
+                replace[id(rn)] = Root(
+                    rp.lam.conjugate(), rn.multiplicity, rn.residual, rn.newton_iterations
+                )
+    return [replace.get(id(r), r) for r in out]
+
+
+def find_roots(
+    sys: NeutralSystem,
+    region: SpectrumRegion,
+    tol: float = DEFAULT_ROOT_TOL,
+    threads=None,
+) -> list[Root]:
+    """All zeros of det D in the region, refined to residual <= tol.
+
+    The region is symmetrized about the real axis first; the result is
+    sorted by (Re, Im), closed under conjugation, and its multiplicities
+    sum to the argument-principle count of the whole region.  Output does
+    not depend on the worker count.
+    """
+    region = region.symmetrized()
+    nworkers = resolve_threads(threads)
+    total = count_zeros(sys, region)
+    roots: list[Root] = []
+    frontier = [(region, total)] if total else []
+    pool = ThreadPoolExecutor(max_workers=nworkers) if nworkers > 1 else None
+    try:
+        while frontier:
+            if pool is None:
+                results = [_process_node(sys, r, c, tol) for r, c in frontier]
+            else:
+                results = list(
+                    pool.map(lambda rc: _process_node(sys, rc[0], rc[1], tol), frontier)
+                )
+            nxt = []
+            for kind, payload in results:
+                if kind == "roots":
+                    roots.extend(payload)
+                else:
+                    nxt.extend(payload)
+            frontier = nxt
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    roots = _conjugate_close(roots)
+    roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
+    if sum(r.multiplicity for r in roots) != total:
+        raise RootAccountingError(
+            f"refined multiplicities sum to {sum(r.multiplicity for r in roots)}, "
+            f"region count is {total}"
+        )
+    return roots
+
+
+def predict_chains(sys: NeutralSystem) -> list[SpectrumChain]:
+    """One chain per nonzero eigenvalue of the neutral coefficient.
+
+    Numerically repeated eigenvalues collapse into a single chain with the
+    repeat count recorded as its multiplicity.
+    """
+    eigs = np.linalg.eigvals(sys.A_minus1)
+    cutoff = zero_eig_cutoff(sys.A_minus1)
+    chains = []
+    used = np.zeros(eigs.size, dtype=bool)
+    order = sorted(range(eigs.size), key=lambda i: (eigs[i].real, eigs[i].imag))
+    for i in order:
+        if used[i] or abs(eigs[i]) <= cutoff:
+            continue
+        mu = eigs[i]
+        group = 0
+        for j in order:
+            if not used[j] and abs(eigs[j] - mu) <= 1e-8 * (1.0 + abs(mu)):
+                used[j] = True
+                group += 1
+        chains.append(
+            SpectrumChain(
+                mu=complex(mu),
+                multiplicity=group,
+                abscissa=math.log(abs(mu)),
+                phase=math.atan2(mu.imag, mu.real),
+            )
+        )
+    chains.sort(key=lambda c: (c.abscissa, c.phase))
+    return chains
+
+
+def spectral_right_bound(sys: NeutralSystem) -> float:
+    """Guaranteed upper bound on Re lambda over all eigenvalues.
+
+    If Re lambda > ln(2 ||A_minus1||) the neutral term contributes less than
+    |lambda| / 2 to D(lambda) v = 0, forcing |lambda| <= 2 S with S the sum
+    of the remaining coefficient norms; hence no root lies beyond
+    max(ln(2 ||A_minus1||), 2 S).
+    """
+    nrm = float(np.linalg.norm(sys.A_minus1, 2))
+    L = math.log(2.0 * nrm) if nrm > 0 else -math.inf
+    S = float(np.linalg.norm(sys.A0, 2)) + float(np.linalg.norm(sys.A1, 2))
+    for seg in sys.kernels:
+        S += 2.0 * float(np.linalg.norm(seg.A2, 2))
+        S += (seg.b - seg.a) * float(np.linalg.norm(seg.A3, 2))
+    return max(L, 2.0 * S)
+
+
+def default_region(sys: NeutralSystem) -> SpectrumRegion:
+    """Search window covering the chains, the origin and the right bound.
+
+    The imaginary extent covers |Im| <= 20 pi plus a half unit so that the
+    frequent chain eigenvalues at multiples of 2 pi i stay clear of the
+    counting contour.
+    """
+    chains = predict_chains(sys)
+    lo = min((c.abscissa for c in chains), default=0.0)
+    hi = max((c.abscissa for c in chains), default=0.0)
+    re_max = max(0.0, hi, spectral_right_bound(sys)) + 1.0
+    re_min = min(lo, 0.0) - 2.0
+    top = 20.0 * math.pi + 0.5
+    return SpectrumRegion(re_min, re_max, -top, top)
+
+
+def spectral_abscissa(sys: NeutralSystem, region: SpectrumRegion):
+    """(max real part of the spectrum estimate, qualifier).
+
+    The estimate is the larger of the root maximum inside the region and
+    the chain abscissa maximum.  The qualifier is "exact" when the region
+    reaches the guaranteed right bound, else "region_limited".  Requires
+    the region to cover |Im lambda| <= 4 pi.
+    """
+    region = region.symmetrized()
+    if region.im_max < 4.0 * math.pi - 1e-9:
+        raise ValueError("region must cover |Im lambda| <= 4 pi")
+    roots = find_roots(sys, region)
+    chains = predict_chains(sys)
+    vals = [r.lam.real for r in roots] + [c.abscissa for c in chains]
+    value = max(vals) if vals else -math.inf
+    qualifier = "exact" if region.re_max >= spectral_right_bound(sys) else "region_limited"
+    return value, qualifier
+
+
+def roots_to_csv(roots) -> str:
+    lines = ["re,im,multiplicity,residual"]
+    for r in roots:
+        lines.append(f"{r.lam.real!r},{r.lam.imag!r},{r.multiplicity},{r.residual!r}")
+    return "\n".join(lines) + "\n"
