@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_RANK_TOL",
+    "RANK_FLOOR",
     "ZERO_EIG_RTOL",
     "RankReport",
     "PairTestResult",
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-9
+
+# A matrix whose largest singular value is at most RANK_FLOOR is numerically
+# zero and has rank 0, whatever the relative tolerance.
+RANK_FLOOR = 1e-12
 
 # Eigenvalues mu of a matrix A with |mu| <= ZERO_EIG_RTOL * ||A|| count as zero
 # wherever a dichotomy "mu != 0" must be decided in floating point.
@@ -88,12 +93,17 @@ def deadbeat_zero_cutoff(M) -> float:
 
 
 def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> RankReport:
-    """Rank of M via SVD with relative threshold tol * sigma_max * max(dims)."""
+    """Rank of M via SVD with relative threshold tol * sigma_max * max(dims).
+
+    When sigma_max <= RANK_FLOOR the threshold is RANK_FLOOR instead, so a
+    numerically zero matrix has rank 0.
+    """
     M = np.asarray(M)
     if M.size == 0:
         raise ValueError("numerical_rank needs a nonempty matrix")
     s = np.linalg.svd(M, compute_uv=False)
-    cutoff = tol * (s[0] if s.size else 0.0) * max(M.shape)
+    sigma_max = s[0] if s.size else 0.0
+    cutoff = tol * sigma_max * max(M.shape) if sigma_max > RANK_FLOOR else RANK_FLOOR
     rank = int(np.count_nonzero(s > cutoff))
     return RankReport(rank=rank, singular_values=s, tolerance_used=cutoff)
 

@@ -9,7 +9,10 @@ The eigenvalues are the zeros of det D(lambda) where
 with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda continued
 through lambda = 0 by its power series.  Zeros are counted on rectangle
 boundaries by the argument principle, isolated by adaptive subdivision and
-refined by multiplicity-aware Newton iteration on the determinant.  Each
+refined by multiplicity-aware Newton iteration on the determinant.  Only the
+outer contour of a search is hash-perturbed; each sub-rectangle reuses its
+parent's edge panels and adds one cut line, which gets the same edge-local
+vanishing-determinant check as every edge.  Each
 nonzero eigenvalue mu of A_minus1 generates a vertical chain of eigenvalues
 approaching ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
 """
@@ -18,8 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "spectral_right_bound",
     "default_region",
     "roots_to_csv",
-    "resolve_threads",
 ]
 
 DEFAULT_ROOT_TOL = 1e-9
@@ -262,17 +262,34 @@ class _EdgeTrouble(Exception):
         super().__init__(reason)
 
 
+@dataclass(frozen=True)
+class _Side:
+    # Accepted panels of one rectangle side, which runs west to east or south
+    # to north with parameter t in [0, 1]: the panel boundaries t, the
+    # integrals of logderiv dz over the panels, and the smallest node |det|
+    # evaluated inside each panel.
+    t: np.ndarray
+    val: np.ndarray
+    mag: np.ndarray
+
+
 def _gl_batch(sys, z0, z1, segs):
-    # One GL10 integral of logderiv per (a, b) sub-segment of [z0, z1], with
-    # the |det| node magnitudes for the vanishing-determinant floor check.
-    segs = np.asarray(segs)
+    # One GL10 integral of logderiv per (a, b) row of segs, a sub-segment of
+    # [z0, z1] in its parameter, with the node parameters and the |det| node
+    # magnitudes for the vanishing-determinant floor check.
     a = segs[:, 0][:, None]
     hw = 0.5 * (segs[:, 1] - segs[:, 0])[:, None]
     s = (a + (_GL_NODES + 1.0) * hw).ravel()
     w = (np.broadcast_to(_GL_WEIGHTS, (segs.shape[0], 10)) * hw).ravel()
-    det, logd = _det_logderiv_many(sys, z0 + s * (z1 - z0))
+    try:
+        det, logd = _det_logderiv_many(sys, z0 + s * (z1 - z0))
+    except SingularAtEvaluationPoint:
+        raise _EdgeTrouble("floor") from None
     vals = (w * logd).reshape(segs.shape[0], 10).sum(axis=1) * (z1 - z0)
-    return vals, np.abs(det)
+    mags = np.abs(det)
+    if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
+        raise _EdgeTrouble("floor")
+    return vals, s, mags
 
 
 # Edge integrals aim below this absolute error so that the total winding
@@ -280,85 +297,99 @@ def _gl_batch(sys, z0, z1, segs):
 _EDGE_BUDGET = 0.47 / 4.0
 _MIN_SEG = 1e-12
 _MAX_SEGS = 4000
+# A cut this close (in side parameter) to a panel boundary reuses the boundary.
+_SNAP = 1e-12
 
 
-def _adaptive_edge(sys, z0, z1):
+def _adaptive_edge(sys, z0, z1, segs=None):
     # Panel-adaptive quadrature of logderiv along one edge: each panel is
     # halved until the halved sum agrees with the coarse value, which fails
     # to terminate only when a zero of det sits (numerically) on the edge.
-    n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
-    segs = [(i / n0, (i + 1) / n0) for i in range(n0)]
-    try:
-        coarse, mags = _gl_batch(sys, z0, z1, segs)
-    except SingularAtEvaluationPoint:
-        raise _EdgeTrouble("floor") from None
-    if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(coarse)):
-        raise _EdgeTrouble("floor")
+    # The starting panels are (a, b) parameter rows, by default a uniform
+    # grid of the edge.  Returns the accepted panels and the median |det| on
+    # the starting nodes, the scale of the floor checks.
+    if segs is None:
+        n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
+        segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
+    active = np.asarray(segs, dtype=float)
+    end = active[-1, 1]
+    old, s, mags = _gl_batch(sys, z0, z1, active)
     med = float(np.median(mags))
     min_det = float(np.min(mags))
-    total = 0.0 + 0.0j
-    active = list(zip(segs, coarse))
-    processed = len(segs)
-    while active:
-        halves = []
-        for (a, b), _ in active:
-            m = 0.5 * (a + b)
-            halves.append((a, m))
-            halves.append((m, b))
-        try:
-            vals, mags = _gl_batch(sys, z0, z1, halves)
-        except SingularAtEvaluationPoint:
-            raise _EdgeTrouble("floor") from None
-        if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
-            raise _EdgeTrouble("floor")
+    nodes, node_mags = [s], [mags]
+    done_a, done_val = [], []
+    processed = len(active)
+    while len(active):
+        a, b = active[:, 0], active[:, 1]
+        m = 0.5 * (a + b)
+        halves = np.column_stack([a, m, m, b]).reshape(-1, 2)
+        vals, s, mags = _gl_batch(sys, z0, z1, halves)
+        nodes.append(s)
+        node_mags.append(mags)
         min_det = min(min_det, float(np.min(mags)))
         if min_det <= 1e-12 * med:
             raise _EdgeTrouble("floor")
-        nxt = []
-        for i, ((a, b), old) in enumerate(active):
-            left, right = vals[2 * i], vals[2 * i + 1]
-            fine = left + right
-            if (b - a) <= _MIN_SEG and abs(fine - old) > _EDGE_BUDGET:
-                raise _EdgeTrouble("budget")
-            if abs(fine - old) <= _EDGE_BUDGET * (b - a) or (b - a) <= _MIN_SEG:
-                total += fine
-            else:
-                nxt.append(((a, 0.5 * (a + b)), left))
-                nxt.append(((0.5 * (a + b), b), right))
-        processed += len(nxt)
+        fine = vals[0::2] + vals[1::2]
+        err = np.abs(fine - old)
+        tiny = (b - a) <= _MIN_SEG
+        if np.any(tiny & (err > _EDGE_BUDGET)):
+            raise _EdgeTrouble("budget")
+        ok = tiny | (err <= _EDGE_BUDGET * (b - a))
+        done_a.append(a[ok])
+        done_val.append(fine[ok])
+        again = np.repeat(~ok, 2)
+        active, old = halves[again], vals[again]
+        processed += len(active)
         if processed > _MAX_SEGS:
             raise _EdgeTrouble("budget")
-        active = nxt
-    return total, min_det, med
+    a = np.concatenate(done_a)
+    order = np.argsort(a)
+    t = np.append(a[order], end)
+    where = np.searchsorted(t, np.concatenate(nodes), side="right") - 1
+    mag = np.full(a.size, np.inf)
+    np.minimum.at(mag, np.clip(where, 0, a.size - 1), np.concatenate(node_mags))
+    return _Side(t, np.concatenate(done_val)[order], mag), med
+
+
+def _side_ends(rect):
+    # (start, end) of the bottom, right, top and left sides of a rectangle,
+    # each in the direction its _Side runs
+    sw = complex(rect.re_min, rect.im_min)
+    se = complex(rect.re_max, rect.im_min)
+    ne = complex(rect.re_max, rect.im_max)
+    nw = complex(rect.re_min, rect.im_max)
+    return (sw, se), (se, ne), (nw, ne), (sw, nw)
+
+
+def _winding(sides):
+    # counterclockwise winding of det D over bottom, right, top and left
+    bottom, right, top, left = (complex(side.val.sum()) for side in sides)
+    return (bottom + right - top - left) / (2.0j * math.pi)
+
+
+def _count_of(W):
+    # the non-negative integer within 0.25 of a winding estimate, else None
+    if not np.isfinite(W):
+        return None
+    k = int(round(W.real))
+    return k if k >= 0 and abs(W - k) <= 0.25 else None
 
 
 def _try_winding(sys, rect):
-    corners = [
-        complex(rect.re_min, rect.im_min),
-        complex(rect.re_max, rect.im_min),
-        complex(rect.re_max, rect.im_max),
-        complex(rect.re_min, rect.im_max),
-    ]
-    total = 0.0 + 0.0j
-    min_det = math.inf
-    med = 0.0
+    # (status, count, sides) of one contour attempt on the rectangle
     try:
-        for i in range(4):
-            part, mn, md = _adaptive_edge(sys, corners[i], corners[(i + 1) % 4])
-            total += part
-            min_det = min(min_det, mn)
-            med = max(med, md)
+        edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in _side_ends(rect)]
     except _EdgeTrouble as e:
-        return ("near_zero" if e.reason == "floor" else "noconv"), None
-    if min_det <= 1e-12 * med:
-        return "near_zero", None
-    W = total / (2.0j * math.pi)
+        return ("near_zero" if e.reason == "floor" else "noconv"), None, None
+    sides = [side for side, _ in edges]
+    min_det = min(float(np.min(side.mag)) for side in sides)
+    if min_det <= 1e-12 * max(med for _, med in edges):
+        return "near_zero", None, None
+    W = _winding(sides)
     if not np.isfinite(W):
-        return "near_zero", None
-    k = int(round(W.real))
-    if k >= 0 and abs(W - k) <= 0.25:
-        return "ok", k
-    return "noconv", None
+        return "near_zero", None, None
+    k = _count_of(W)
+    return ("noconv" if k is None else "ok"), k, sides
 
 
 def _inflate(rect, attempt):
@@ -378,6 +409,23 @@ def _inflate(rect, attempt):
     )
 
 
+def _outer_contour(sys, region):
+    # (count, contour rectangle, its four sides) on the first inflated copy
+    # of the region whose winding settles
+    saw_near = False
+    for attempt in range(9):
+        rect = _inflate(region, attempt)
+        status, k, sides = _try_winding(sys, rect)
+        if status == "ok":
+            return k, rect, sides
+        saw_near = saw_near or status == "near_zero"
+    if saw_near:
+        raise ContourThroughZero(
+            f"zero of det D persists on the boundary of {region} after 8 perturbations"
+        )
+    raise QuadratureNotConverged(f"winding number did not stabilize on {region}")
+
+
 def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     """Number of zeros of det D inside the rectangle, counting multiplicity.
 
@@ -387,19 +435,12 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     pseudo-random factor in [1e-6, 1e-4] of its size; a zero exactly on the
     requested boundary would otherwise contribute a half winding (an integer
     for even multiplicities, hence undetectable).  Up to 8 further inflation
-    attempts are made when det vanishes on the contour.
+    attempts are made when det vanishes on the contour.  Only this outer
+    contour is perturbed: find_roots counts the sub-rectangles of its search
+    on their parent's panels plus one cut line each, not through this
+    function.
     """
-    saw_near = False
-    for attempt in range(9):
-        status, k = _try_winding(sys, _inflate(region, attempt))
-        if status == "ok":
-            return k
-        saw_near = saw_near or status == "near_zero"
-    if saw_near:
-        raise ContourThroughZero(
-            f"zero of det D persists on the boundary of {region} after 8 perturbations"
-        )
-    raise QuadratureNotConverged(f"winding number did not stabilize on {region}")
+    return _outer_contour(sys, region)[0]
 
 
 def _residual(sys, lam):
@@ -489,51 +530,61 @@ def _newton_cluster(sys, rect, count, tol):
     return None
 
 
-def _split(sys, rect, count):
+def _slice(sys, side, z0, z1, c):
+    # The panels of side [z0, z1] below and above parameter c, each
+    # reparametrized to [0, 1].  A panel straddling c is integrated afresh as
+    # its two pieces, each starting from one GL panel.
+    t, val, mag = side.t, side.val, side.mag
+    i = int(np.searchsorted(t, c))  # t[i - 1] < c <= t[i]
+    if c - t[i - 1] <= _SNAP:
+        i -= 1
+    elif t[i] - c > _SNAP:
+        piece, _ = _adaptive_edge(sys, z0, z1, [(t[i - 1], c), (c, t[i])])
+        t = np.concatenate([t[: i - 1], piece.t, t[i + 1 :]])
+        val = np.concatenate([val[: i - 1], piece.val, val[i:]])
+        mag = np.concatenate([mag[: i - 1], piece.mag, mag[i:]])
+        i += int(np.searchsorted(piece.t, c)) - 1
+    lo_t = t[: i + 1] / c
+    hi_t = (t[i:] - c) / (1.0 - c)
+    lo_t[-1], hi_t[0] = 1.0, 0.0
+    return _Side(lo_t, val[:i], mag[:i]), _Side(hi_t, val[i:], mag[i:])
+
+
+def _split(sys, rect, sides):
+    # Cut the longer extent at the first fraction whose cut line integrates
+    # cleanly and leaves both children with integer windings.  The children
+    # reuse the parent's sides, sliced at the cut, and share the cut line
+    # with opposite orientations, so their counts add up to the parent's by
+    # construction; the final RootAccountingError check guards the total.
+    bottom, right, top, left = sides
+    (sw, se), (_, ne), (nw, _), _ = _side_ends(rect)
     vertical = rect.height >= rect.width  # split the longer extent
     for frac in _SPLIT_FRACTIONS:
-        if vertical:
-            cut = rect.im_min + frac * rect.height
-            r1 = SpectrumRegion(rect.re_min, rect.re_max, rect.im_min, cut)
-            r2 = SpectrumRegion(rect.re_min, rect.re_max, cut, rect.im_max)
-        else:
-            cut = rect.re_min + frac * rect.width
-            r1 = SpectrumRegion(rect.re_min, cut, rect.im_min, rect.im_max)
-            r2 = SpectrumRegion(cut, rect.re_max, rect.im_min, rect.im_max)
         try:
-            c1 = count_zeros(sys, r1)
-            c2 = count_zeros(sys, r2)
-        except SpectrumError:
+            if vertical:
+                y = rect.im_min + frac * rect.height
+                cut, _ = _adaptive_edge(sys, complex(rect.re_min, y), complex(rect.re_max, y))
+                r1, r2 = _slice(sys, right, se, ne, frac)
+                l1, l2 = _slice(sys, left, sw, nw, frac)
+                lo = SpectrumRegion(rect.re_min, rect.re_max, rect.im_min, y)
+                hi = SpectrumRegion(rect.re_min, rect.re_max, y, rect.im_max)
+                kids = [(lo, (bottom, r1, cut, l1)), (hi, (cut, r2, top, l2))]
+            else:
+                x = rect.re_min + frac * rect.width
+                cut, _ = _adaptive_edge(sys, complex(x, rect.im_min), complex(x, rect.im_max))
+                b1, b2 = _slice(sys, bottom, sw, se, frac)
+                t1, t2 = _slice(sys, top, nw, ne, frac)
+                lo = SpectrumRegion(rect.re_min, x, rect.im_min, rect.im_max)
+                hi = SpectrumRegion(x, rect.re_max, rect.im_min, rect.im_max)
+                kids = [(lo, (b1, cut, t1, left)), (hi, (b2, right, t2, cut))]
+        except _EdgeTrouble:
             continue
-        if c1 + c2 == count:
-            return [(r1, c1), (r2, c2)]
+        counts = [_count_of(_winding(s)) for _, s in kids]
+        if None not in counts:
+            return [(r, k, s) for (r, s), k in zip(kids, counts)]
     raise ContourThroughZero(
         f"no subdivision line of {rect} kept the zero count consistent"
     )
-
-
-def _process_node(sys, rect, count, tol):
-    if count == 0:
-        return "roots", []
-    diam = math.hypot(rect.width, rect.height)
-    if diam <= _NEWTON_DIAM:
-        root = _newton_cluster(sys, rect, count, tol)
-        if root is not None:
-            return "roots", [root]
-    if max(rect.width, rect.height) < _MIN_LEAF:
-        raise MaxDepthExceeded(f"leaf {rect} below {_MIN_LEAF} still holds {count} zeros")
-    return "split", _split(sys, rect, count)
-
-
-def resolve_threads(threads=None) -> int:
-    """Worker count: explicit argument, else NEUTRALCTL_THREADS, else 1."""
-    if threads is None:
-        raw = os.environ.get("NEUTRALCTL_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    return max(1, min(32, int(threads)))
 
 
 def _conjugate_close(roots):
@@ -566,39 +617,29 @@ def find_roots(
     sys: NeutralSystem,
     region: SpectrumRegion,
     tol: float = DEFAULT_ROOT_TOL,
-    threads=None,
 ) -> list[Root]:
     """All zeros of det D in the region, refined to residual <= tol.
 
     The region is symmetrized about the real axis first; the result is
     sorted by (Re, Im), closed under conjugation, and its multiplicities
-    sum to the argument-principle count of the whole region.  Output does
-    not depend on the worker count.
+    sum to the argument-principle count of the whole region.
     """
     region = region.symmetrized()
-    nworkers = resolve_threads(threads)
-    total = count_zeros(sys, region)
+    total, rect, sides = _outer_contour(sys, region)
     roots: list[Root] = []
-    frontier = [(region, total)] if total else []
-    pool = ThreadPoolExecutor(max_workers=nworkers) if nworkers > 1 else None
-    try:
-        while frontier:
-            if pool is None:
-                results = [_process_node(sys, r, c, tol) for r, c in frontier]
-            else:
-                results = list(
-                    pool.map(lambda rc: _process_node(sys, rc[0], rc[1], tol), frontier)
-                )
-            nxt = []
-            for kind, payload in results:
-                if kind == "roots":
-                    roots.extend(payload)
-                else:
-                    nxt.extend(payload)
-            frontier = nxt
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    # depth first, so that only one path of the tree and its siblings hold
+    # their side panels at a time
+    stack = [(rect, total, sides)] if total else []
+    while stack:
+        rect, count, sides = stack.pop()
+        if math.hypot(rect.width, rect.height) <= _NEWTON_DIAM:
+            root = _newton_cluster(sys, rect, count, tol)
+            if root is not None:
+                roots.append(root)
+                continue
+        if max(rect.width, rect.height) < _MIN_LEAF:
+            raise MaxDepthExceeded(f"leaf {rect} below {_MIN_LEAF} still holds {count} zeros")
+        stack.extend(kid for kid in reversed(_split(sys, rect, sides)) if kid[1])
     roots = _conjugate_close(roots)
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
     if sum(r.multiplicity for r in roots) != total:

@@ -116,6 +116,17 @@ def test_observability_example3_direct_output_fails(ex3):
     assert kernel_vecs and abs(kernel_vecs[0].null_vector[1]) < 1e-8
 
 
+def test_observability_zero_output_fails_condition1():
+    # with C = 0 the stacked matrix [D(lambda), C^T] vanishes at every root
+    sys = NeutralSystem(
+        n=1, m=1, p=1, A_minus1=[[1.0]], A0=[[-0.5]], A1=[[-1.0]], B=[[-0.5]], C=[[0.0]]
+    )
+    verdict = check_final_observability(sys, SpectrumRegion(-3, 3, -4, 4))
+    assert verdict.condition1.witnesses
+    assert not verdict.condition1.passed
+    assert not verdict.overall
+
+
 def test_observability_example5_transposed(ex5_transposed):
     assert check_final_observability(ex5_transposed, REGION).overall
 

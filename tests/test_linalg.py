@@ -11,6 +11,7 @@ from neutralctl import (
     numerical_rank,
     pole_place_nonzero,
 )
+from neutralctl.linalg import RANK_FLOOR
 
 
 def test_rank_identity():
@@ -26,6 +27,11 @@ def test_rank_near_singular():
 
 def test_rank_zero_matrix():
     assert numerical_rank(np.zeros((3, 2))).rank == 0
+    # [D(lambda), C^T] of an n = 1 system with C = 0 at a root: rounding
+    # noise alone must not count as rank, however small the relative cutoff
+    rep = numerical_rank(np.array([[1e-17, 0.0]]))
+    assert rep.rank == 0
+    assert rep.tolerance_used == RANK_FLOOR
 
 
 def test_rank_example3_augmented_at_zero():

@@ -19,7 +19,8 @@ from neutralctl import (
     spectral_abscissa,
     spectral_right_bound,
 )
-from neutralctl.spectrum import delta_many
+from neutralctl import spectrum
+from neutralctl.spectrum import _outer_contour, _split, delta_many
 
 Z2 = np.zeros((2, 2))
 
@@ -41,6 +42,24 @@ def kernel_system():
         kernels=(
             KernelSegment(-0.8, -0.3, 0.3 * rng.standard_normal((2, 2)), rng.standard_normal((2, 2))),
             KernelSegment(-0.2, 0.0, 0.2 * rng.standard_normal((2, 2)), 0.4 * rng.standard_normal((2, 2))),
+        ),
+    )
+
+
+def kernel_system4():
+    # n = 4 with derivative and state kernels on two segments
+    rng = np.random.default_rng(4)
+    return NeutralSystem(
+        n=4, m=1, p=0,
+        A_minus1=0.25 * rng.standard_normal((4, 4)),
+        A0=0.5 * rng.standard_normal((4, 4)),
+        A1=0.25 * rng.standard_normal((4, 4)),
+        B=np.ones((4, 1)),
+        kernels=tuple(
+            KernelSegment(
+                a, b, 0.15 * rng.standard_normal((4, 4)), 0.25 * rng.standard_normal((4, 4))
+            )
+            for a, b in ((-1.0, -0.5), (-0.5, 0.0))
         ),
     )
 
@@ -207,13 +226,56 @@ def test_find_roots_sum_matches_count(ex5):
     assert sum(r.multiplicity for r in roots) == count_zeros(ex5, region.symmetrized())
 
 
-def test_find_roots_thread_determinism(ex5):
+def test_find_roots_repeatable(ex5):
     region = SpectrumRegion(-1, 1, -15, 15)
-    r1 = find_roots(ex5, region, threads=1)
-    r4 = find_roots(ex5, region, threads=4)
+    r1 = find_roots(ex5, region)
+    r2 = find_roots(ex5, region)
     assert [(r.lam, r.multiplicity, r.residual) for r in r1] == [
-        (r.lam, r.multiplicity, r.residual) for r in r4
+        (r.lam, r.multiplicity, r.residual) for r in r2
     ]
+
+
+@pytest.mark.parametrize(
+    "case, region",
+    [
+        ("ex5", SpectrumRegion(-1, 1, -10, 16)),
+        ("half", SpectrumRegion(-2, 1, -10, 16)),
+        ("kern4", SpectrumRegion(-4, 3, -10, 16)),
+        ("kern4", SpectrumRegion(-4, 3, -1, 4)),
+    ],
+)
+def test_split_counts_match_fresh_counts(case, region, ex5):
+    # children counted on their parent's sliced sides plus the shared cut
+    # line agree with counts on their own freshly inflated contours
+    sys = {
+        "ex5": ex5,
+        "half": NeutralSystem(
+            n=2, m=1, p=0, A_minus1=np.diag([0.5, 0.0]), A0=Z2, A1=Z2, B=[[0], [0]]
+        ),
+        "kern4": kernel_system4(),
+    }[case]
+    _, rect, sides = _outer_contour(sys, region)
+    kids = _split(sys, rect, sides)
+    assert len(kids) == 2
+    assert all(k > 0 for _, k, _ in kids)
+    for child, k, _ in kids:
+        assert k == count_zeros(sys, child)
+
+
+def test_find_roots_work_bound(ex5, monkeypatch):
+    # deterministic work counter: log-derivative points of one wide search
+    # (172,669 when every split recounted both children from scratch)
+    points = []
+    inner = spectrum._det_logderiv_many
+
+    def counted(sys, lam):
+        points.append(np.size(lam))
+        return inner(sys, lam)
+
+    monkeypatch.setattr(spectrum, "_det_logderiv_many", counted)
+    roots = find_roots(ex5, SpectrumRegion(-1, 1, -40, 40))
+    assert sum(r.multiplicity for r in roots) == 15
+    assert sum(points) <= 60_000
 
 
 def test_predict_chains_example5(ex5):
