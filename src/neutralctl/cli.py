@@ -199,15 +199,7 @@ def _load_history(args, sysm, q: int) -> History:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "z" not in obj:
         raise SystemFormatError("history file must be an object with a 'z' array")
-    z = np.asarray(obj["z"], dtype=float)
-    if "dz" in obj:
-        return History(q=q, z=z, dz=np.asarray(obj["dz"], dtype=float))
-    h = 1.0 / q
-    dz = np.empty_like(z)
-    dz[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
-    dz[0] = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * h)
-    dz[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * h)
-    return History(q=q, z=z, dz=dz)
+    return History.from_samples(obj["z"], q, obj.get("dz"))
 
 
 def _cmd_simulate(args) -> int:

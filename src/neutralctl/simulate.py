@@ -7,6 +7,11 @@ at half-steps use cubic interpolation of the stored samples, and the stored
 derivative always comes from the right-hand side itself, which keeps the
 neutral term consistent with the equation and lets derivative jumps
 propagate across integer times as they should.
+
+Kernels need no quadrature: int_a^b A2 dz(t+s) ds telescopes exactly to
+A2 [z(t+b) - z(t+a)], and w(t) = int_a^b z(t+s) ds rides along as RK4 state
+with w' = z(t+b) - z(t+a).  Fourth order holds for a history compatible with
+the equation; otherwise derivative jumps at integer times limit it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ _W_LEFT = np.array([5.0, 15.0, -5.0, 1.0]) / 16.0
 _W_CENTER = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
 _W_RIGHT = np.array([1.0, -5.0, 15.0, 5.0]) / 16.0
 
+# Three-point Gauss-Legendre nodes and weights on [0, 1], exact for cubics.
+_GL3_X = 0.5 + 0.5 * math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+_GL3_W = np.array([5.0, 8.0, 5.0]) / 18.0
+
 
 @dataclass(frozen=True)
 class History:
@@ -69,20 +78,29 @@ class History:
         object.__setattr__(self, "dz", dz)
 
     @classmethod
+    def from_samples(cls, z, q: int, dz=None) -> "History":
+        """History from grid samples of z; derivatives fall back to
+        second-order finite differences when dz is not given."""
+        z = np.asarray(z, dtype=float)
+        if dz is None:
+            dz = np.empty_like(z)
+            if z.ndim == 2 and z.shape[0] == q + 1 >= 3:
+                h = 1.0 / q
+                dz[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
+                dz[0] = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * h)
+                dz[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * h)
+        return cls(q=q, z=z, dz=dz)
+
+    @classmethod
     def from_function(cls, fn, q: int, dfn=None) -> "History":
         """Sample a smooth initial function; derivatives fall back to
         second-order finite differences when dfn is not given."""
         theta = -1.0 + np.arange(q + 1) / q
         z = np.array([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in theta])
+        dz = None
         if dfn is not None:
             dz = np.array([np.atleast_1d(np.asarray(dfn(t), dtype=float)) for t in theta])
-        else:
-            h = 1.0 / q
-            dz = np.empty_like(z)
-            dz[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
-            dz[0] = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * h)
-            dz[-1] = (3.0 * z[-1] - 4.0 * z[-2] + z[-3]) / (2.0 * h)
-        return cls(q=q, z=z, dz=dz)
+        return cls.from_samples(z, q, dz)
 
     @classmethod
     def constant(cls, vec, q: int) -> "History":
@@ -117,10 +135,6 @@ def _steps_per_unit(step: float) -> int:
     return q
 
 
-def _read_node(arr, i):
-    return arr[i]
-
-
 def _read_mid(arr, i):
     # value at node coordinate i + 1/2 of a fully filled array
     last = arr.shape[0] - 1
@@ -132,14 +146,9 @@ def _read_mid(arr, i):
 
 
 def _interp_many(arr, filled, x):
-    """Cubic Lagrange interpolation of rows of arr at positions x in [0, filled]."""
-    x = np.clip(np.asarray(x, dtype=float), 0.0, float(filled))
-    if filled == 0:
-        return np.tile(arr[0], (x.size, 1))
-    if filled < 3:
-        j = np.clip(np.floor(x).astype(int), 0, filled - 1)
-        s = (x - j)[:, None]
-        return (1.0 - s) * arr[j] + s * arr[j + 1]
+    """Cubic Lagrange interpolation of rows 0..filled (at least 3) of arr at
+    positions x >= 0; past `filled` the last stencil extrapolates."""
+    x = np.asarray(x, dtype=float)
     j0 = np.clip(np.floor(x).astype(int) - 1, 0, filled - 3)
     s = x - j0
     w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
@@ -152,6 +161,34 @@ def _interp_many(arr, filled, x):
         + w2[:, None] * arr[j0 + 2]
         + w3[:, None] * arr[j0 + 3]
     )
+
+
+def _read_at(x, z_prev, z_cur, filled):
+    """z at node coordinate x of the previous interval; x past its end reads
+    rows 0..filled of the current one.  Grid nodes and half-steps are stored
+    rows and midpoint stencils, anything else is cubic interpolation."""
+    q = z_prev.shape[0] - 1
+    arr, last = z_prev, q
+    if x > q + 1e-9:
+        arr, last, x = z_cur[: filled + 1], filled, x - q
+        if filled < 3:
+            # too few rows for a cubic stencil: lead in with the previous
+            # interval's last samples
+            arr, last, x = np.vstack((z_prev[q - 3 : q], arr)), filled + 3, x + 3.0
+    k = round(2.0 * x)
+    if abs(2.0 * x - k) <= 1e-9 and k <= 2 * last:
+        return arr[k // 2] if k % 2 == 0 else _read_mid(arr, k // 2)
+    return _interp_many(arr, last, [x])[0]
+
+
+def _history_integral(z, lo, hi):
+    """Integral in time of the cubic interpolant of z between node
+    coordinates lo and hi, by three Gauss-Legendre points per grid panel."""
+    q = z.shape[0] - 1
+    cuts = np.concatenate(([lo], np.arange(math.floor(lo) + 1, math.ceil(hi)), [hi]))
+    width = np.diff(cuts)
+    x = cuts[:-1, None] + width[:, None] * _GL3_X
+    return ((width[:, None] * _GL3_W).ravel() / q) @ _interp_many(z, q, x.ravel())
 
 
 def _zero_control(sys):
@@ -198,86 +235,77 @@ def _simulate_core(sys, history, ufun, horizon, step):
     if n_steps < 1 or abs(n_steps * h - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of the step {h}")
 
+    n = sys.n
     A_1, A0, A1, B = sys.A_minus1, sys.A0, sys.A1, sys.B
     kernels = sys.kernels
     v0 = history.z[-1] - A_1 @ history.z[0]
+    z_hist = history.z
+    if kernels:
+        # segment bounds as node coordinates of the interval before t
+        ends = [(q * (1.0 + seg.a), q * (1.0 + seg.b)) for seg in kernels]
+        at_t = np.array([[hi == q] for _, hi in ends], dtype=float)
+        A2 = np.hstack([seg.A2 for seg in kernels])
+        A3 = np.hstack([seg.A3 for seg in kernels])
+        # the running integrals w = int_a^b z(t+s) ds ride along as extra
+        # state columns; only the last history row needs their start value
+        z_hist = np.hstack((z_hist, np.zeros((q + 1, n * len(kernels)))))
+        z_hist[-1, n:] = np.concatenate([_history_integral(history.z, lo, hi) for lo, hi in ends])
 
-    def kernel_term(t_abs, r, z_prev, dz_prev, z_cur, dz_cur, filled_z, filled_dz):
-        total = np.zeros(sys.n)
-        for seg in kernels:
-            lo = t_abs + seg.a
-            hi = t_abs + seg.b
-            k_lo = math.ceil(lo * q - 1e-9)
-            k_hi = math.floor(hi * q + 1e-9)
-            taus = [lo] + [k / q for k in range(k_lo, k_hi + 1) if lo < k / q < hi] + [hi]
-            taus = np.array(taus)
-            x = (taus - (r - 1.0)) * q  # coordinate in the previous interval
-            in_prev = x <= q + 1e-12
-            zv = np.empty((taus.size, sys.n))
-            dzv = np.empty((taus.size, sys.n))
-            if np.any(in_prev):
-                zv[in_prev] = _interp_many(z_prev, q, x[in_prev])
-                dzv[in_prev] = _interp_many(dz_prev, q, x[in_prev])
-            cur = ~in_prev
-            if np.any(cur):
-                zv[cur] = _interp_many(z_cur, filled_z, x[cur] - q)
-                dzv[cur] = _interp_many(dz_cur, filled_dz, x[cur] - q)
-            dt = np.diff(taus)
-            w = np.zeros(taus.size)
-            w[:-1] += 0.5 * dt
-            w[1:] += 0.5 * dt
-            total += seg.A2 @ (w @ dzv) + seg.A3 @ (w @ zv)
-        return total
+    def delayed(s, z_prev, z_cur, filled):
+        # z(t+b) - z(t+a) per segment for t at node coordinate s, leaving out
+        # z(t) itself, which is the stage state
+        return np.array([
+            (0.0 if hi == q else _read_at(s + hi, z_prev, z_cur, filled))
+            - _read_at(s + lo, z_prev, z_cur, filled)
+            for lo, hi in ends
+        ])
 
-    intervals_z = [history.z]
+    def rhs(t_abs, Y, zr, dzr, dd):
+        # A2 telescopes exactly to A2 [z(t+b) - z(t+a)], which is also w'
+        y = Y[:n]
+        val = A_1 @ dzr + A0 @ y + A1 @ zr
+        u = ufun(t_abs, y, zr, dzr)
+        if not kernels:
+            return val + B @ u, u
+        d = (dd + at_t * y).ravel()
+        val = val + A2 @ d + A3 @ Y[n:]
+        return np.concatenate((val + B @ u, d)), u
+
+    intervals_z = [z_hist]
     intervals_dz = [history.dz]
     intervals_u = []
+    dd_mid = dd_end = None
 
     remaining = n_steps
     r = 0
     while remaining > 0:
         steps = min(q, remaining)
-        z_prev = intervals_z[-1]
-        dz_prev = intervals_dz[-1]
-        z_cur = np.zeros((steps + 1, sys.n))
-        dz_cur = np.zeros((steps + 1, sys.n))
+        z_prev = intervals_z[-1][:, :n]
+        dz_prev = intervals_dz[-1][:, :n]
+        z_cur = np.zeros((steps + 1, z_hist.shape[1]))
+        dz_cur = np.zeros_like(z_cur)
         u_cur = np.zeros((steps + 1, sys.m))
+        zc = z_cur[:, :n]
 
-        def rhs(t_abs, y, zr, dzr, filled_z, filled_dz):
-            val = A_1 @ dzr + A0 @ y + A1 @ zr
-            if kernels:
-                val = val + kernel_term(
-                    t_abs, r, z_prev, dz_prev, z_cur, dz_cur, filled_z, filled_dz
-                )
-            u = ufun(t_abs, y, zr, dzr)
-            return val + B @ u, u
-
-        def node_eval(t_abs, y, zr, dzr, idx):
-            # the kernel integral touches dz at its own node; seed it with the
-            # neighbouring value and correct once (second-order endpoint)
-            if not kernels:
-                return rhs(t_abs, y, zr, dzr, idx, idx)
-            dz_cur[idx] = dz_cur[idx - 1] if idx > 0 else dz_prev[-1]
-            val, u = rhs(t_abs, y, zr, dzr, idx, idx)
-            dz_cur[idx] = val
-            return rhs(t_abs, y, zr, dzr, idx, idx)
-
-        z_cur[0] = z_prev[-1]
-        dz_cur[0], u_cur[0] = node_eval(
-            float(r), z_cur[0], _read_node(z_prev, 0), _read_node(dz_prev, 0), 0
-        )
+        z_cur[0] = intervals_z[-1][-1]
+        if kernels:
+            dd_end = delayed(0.0, z_prev, zc, 0)
+        dz_cur[0], u_cur[0] = rhs(float(r), z_cur[0], z_prev[0], dz_prev[0], dd_end)
         for i in range(steps):
             t = r + i * h
             zr_mid = _read_mid(z_prev, i)
             dzr_mid = _read_mid(dz_prev, i)
-            zr_end = _read_node(z_prev, i + 1)
-            dzr_end = _read_node(dz_prev, i + 1)
+            zr_end = z_prev[i + 1]
+            dzr_end = dz_prev[i + 1]
+            if kernels:
+                dd_mid = delayed(i + 0.5, z_prev, zc, i)
+                dd_end = delayed(i + 1.0, z_prev, zc, i)
             k1 = dz_cur[i].copy()
-            k2, _ = rhs(t + 0.5 * h, z_cur[i] + 0.5 * h * k1, zr_mid, dzr_mid, i, i)
-            k3, _ = rhs(t + 0.5 * h, z_cur[i] + 0.5 * h * k2, zr_mid, dzr_mid, i, i)
-            k4, _ = rhs(t + h, z_cur[i] + h * k3, zr_end, dzr_end, i, i)
+            k2, _ = rhs(t + 0.5 * h, z_cur[i] + 0.5 * h * k1, zr_mid, dzr_mid, dd_mid)
+            k3, _ = rhs(t + 0.5 * h, z_cur[i] + 0.5 * h * k2, zr_mid, dzr_mid, dd_mid)
+            k4, _ = rhs(t + h, z_cur[i] + h * k3, zr_end, dzr_end, dd_end)
             z_cur[i + 1] = z_cur[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            dz_cur[i + 1], u_cur[i + 1] = node_eval(t + h, z_cur[i + 1], zr_end, dzr_end, i + 1)
+            dz_cur[i + 1], u_cur[i + 1] = rhs(t + h, z_cur[i + 1], zr_end, dzr_end, dd_end)
 
         intervals_z.append(z_cur)
         intervals_dz.append(dz_cur)
@@ -285,26 +313,12 @@ def _simulate_core(sys, history, ufun, horizon, step):
         remaining -= steps
         r += 1
 
-    t = np.arange(n_steps + 1) / q
-    z_rows = [intervals_z[1][0]]
-    dz_rows = [intervals_dz[1][0]]
-    u_rows = [intervals_u[0][0]]
-    for idx in range(1, len(intervals_z)):
-        zc, dzc, uc = intervals_z[idx], intervals_dz[idx], intervals_u[idx - 1]
-        if idx > 1:
-            # junction carries the right derivative and the matching input
-            dz_rows[-1] = dzc[0]
-            u_rows[-1] = uc[0]
-        z_rows.extend(zc[1:])
-        dz_rows.extend(dzc[1:])
-        u_rows.extend(uc[1:])
+    # junctions carry the right derivative and the matching input
+    z = np.concatenate([intervals_z[1][:1]] + [zs[1:] for zs in intervals_z[1:]])
+    dz = np.concatenate([dzs[:-1] for dzs in intervals_dz[1:]] + [intervals_dz[-1][-1:]])
+    u = np.concatenate([us[:-1] for us in intervals_u] + [intervals_u[-1][-1:]])
     return Trajectory(
-        h=h,
-        t=t,
-        z=np.array(z_rows),
-        dz=np.array(dz_rows),
-        u=np.array(u_rows),
-        v0=v0,
+        h=h, t=np.arange(n_steps + 1) / q, z=z[:, :n], dz=dz[:, :n], u=u, v0=v0
     )
 
 
@@ -368,11 +382,11 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + [f"dz_{i + 1}" for i in range(n)]
         + [f"u_{i + 1}" for i in range(m)]
     )
+    table = np.column_stack((traj.t, traj.z, traj.dz, traj.u))
     lines = [",".join(header)]
-    for j in range(traj.t.size):
-        row = [repr(float(traj.t[j]))]
-        row += [repr(float(x)) for x in traj.z[j]]
-        row += [repr(float(x)) for x in traj.dz[j]]
-        row += [repr(float(x)) for x in traj.u[j]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    # converting a block of rows at a time keeps the Python floats of the
+    # whole table from being alive at once
+    for k in range(0, table.shape[0], 256):
+        lines.extend(",".join(map(repr, row)) for row in table[k : k + 256].tolist())
+    lines.append("")
+    return "\n".join(lines)

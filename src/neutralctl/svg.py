@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["spectrum_svg", "trajectory_svg"]
 
 _W, _H = 640, 480
@@ -103,7 +105,9 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
 
 
 def _polyline(fr, xs, ys, color):
-    pts = " ".join(f"{_fmt(fr.px(x))},{_fmt(fr.py(y))}" for x, y in zip(xs, ys))
+    px = fr.px(np.asarray(xs, dtype=float)).tolist()
+    py = fr.py(np.asarray(ys, dtype=float)).tolist()
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>\n'
 
 
@@ -127,6 +131,6 @@ def trajectory_svg(traj) -> str:
         comp = traj.z[:, j]
         c_lo, c_hi = float(min(comp)), float(max(comp))
         width = (c_hi - c_lo) or 1.0
-        scaled = [lo + (v - c_lo) / width * span for v in comp]
+        scaled = lo + (comp - c_lo) / width * span
         body += _polyline(fr, t, scaled, _COLORS[j % len(_COLORS)])
     return _document(body, "trajectory")

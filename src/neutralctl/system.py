@@ -10,6 +10,7 @@ format, validation, duality transposition and closed-loop formation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,17 @@ _TOP_FIELDS = {"n", "m", "p", "A_minus1", "A0", "A1", "B", "C", "kernels"}
 _SEG_FIELDS = {"a", "b", "A2", "A3"}
 
 
+def _is_number(x):
+    # JSON true/false are ints to Python, and NaN, Infinity or 1e999 parse to
+    # non-finite floats; none of them is a coefficient
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _require_matrix(obj, name, where="file"):
     if name not in obj:
         raise SystemFormatError(f"missing required field {name!r} in {where}")
@@ -172,8 +184,10 @@ def _require_matrix(obj, name, where="file"):
         if len(r) != width:
             raise SystemFormatError(f"field {name!r} has ragged rows")
         for x in r:
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise SystemFormatError(f"field {name!r} contains a non-numeric entry")
+            if not _is_number(x):
+                raise SystemFormatError(
+                    f"field {name!r} contains a non-numeric or non-finite entry {x!r}"
+                )
     return np.array(raw, dtype=float)
 
 
@@ -216,8 +230,8 @@ def parse_system(text: str) -> NeutralSystem:
         if unknown:
             raise SystemFormatError(f"kernels[{i}] has unknown fields: {sorted(unknown)}")
         for name in ("a", "b"):
-            if name not in raw or not isinstance(raw[name], (int, float)):
-                raise SystemFormatError(f"kernels[{i}] needs numeric bounds 'a' and 'b'")
+            if name not in raw or not _is_number(raw[name]):
+                raise SystemFormatError(f"kernels[{i}] needs finite numeric bounds 'a' and 'b'")
         kernels.append(
             KernelSegment(
                 float(raw["a"]),

@@ -98,6 +98,17 @@ EX4_JSON = """{
 }
 """
 
+# ex5 with one derivative and state kernel on [-0.5, 0]
+KERNEL_JSON = """{
+  "n": 2, "m": 1, "p": 0,
+  "A_minus1": [[1, 0], [0, 0]],
+  "A0": [[0, 0], [1, 0]],
+  "A1": [[0, 0], [0, 0]],
+  "B": [[1], [0]],
+  "kernels": [{"a": -0.5, "b": 0, "A2": [[0.2, 0], [0, -0.1]], "A3": [[0, 0.3], [-0.4, 0]]}]
+}
+"""
+
 
 @pytest.fixture
 def ex5_file(tmp_path):
@@ -117,6 +128,13 @@ def ex3_file(tmp_path):
 def ex4_file(tmp_path):
     path = tmp_path / "ex4.json"
     path.write_text(EX4_JSON)
+    return path
+
+
+@pytest.fixture
+def kernel_file(tmp_path):
+    path = tmp_path / "kernel.json"
+    path.write_text(KERNEL_JSON)
     return path
 
 

@@ -142,19 +142,27 @@ def test_bad_step_is_operational_error(ex3_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["1", "4"])
-def test_outputs_byte_identical_across_thread_counts(ex5_file, tmp_path, monkeypatch, threads):
-    # both runs must match the single-thread reference byte for byte
-    monkeypatch.setenv("NEUTRALCTL_THREADS", "1")
-    ref = tmp_path / "ref"
-    run("spectrum", "--system", str(ex5_file), "--re-min", "-1", "--re-max", "1",
-        "--im-max", "40", "--out", str(ref))
-    run("check-stabilizability", "--system", str(ex5_file), "--out", str(ref))
+def test_outputs_byte_identical_across_thread_counts(ex5_file, kernel_file, tmp_path,
+                                                     monkeypatch, threads):
+    # NEUTRALCTL_THREADS is no longer read: a leftover setting must leave every
+    # artifact byte-identical to a run with the variable unset.
+    # The history file gives z only, so dz comes from finite differences.
+    theta = -1.0 + np.arange(101) / 100
+    hist = tmp_path / "history.json"
+    hist.write_text(json.dumps({"z": np.stack([np.cos(theta), theta], 1).tolist()}))
+    runs = []
+    for name, setting in (("ref", None), (f"t{threads}", threads)):
+        if setting is None:
+            monkeypatch.delenv("NEUTRALCTL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NEUTRALCTL_THREADS", setting)
+        out = tmp_path / name
+        assert run("spectrum", "--system", str(ex5_file), "--re-min", "-1", "--re-max", "1",
+                   "--im-max", "40", "--out", str(out)) == 0
+        assert run("check-stabilizability", "--system", str(ex5_file), "--out", str(out)) == 0
+        assert run("simulate", "--system", str(kernel_file), "--history", str(hist),
+                   "--horizon", "3", "--out", str(out)) == 0
+        runs.append(out)
 
-    monkeypatch.setenv("NEUTRALCTL_THREADS", threads)
-    out = tmp_path / f"t{threads}"
-    run("spectrum", "--system", str(ex5_file), "--re-min", "-1", "--re-max", "1",
-        "--im-max", "40", "--out", str(out))
-    run("check-stabilizability", "--system", str(ex5_file), "--out", str(out))
-
-    assert (out / "roots.csv").read_bytes() == (ref / "roots.csv").read_bytes()
-    assert (out / "verdict.json").read_bytes() == (ref / "verdict.json").read_bytes()
+    for artifact in ("roots.csv", "verdict.json", "trajectory.csv", "trajectory.svg"):
+        assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()

@@ -147,9 +147,9 @@ def test_continuity_across_integer_times(ex5):
 
 
 def test_kernel_constant_derivative_matches_discrete_reduction():
-    # integral of M dz(t+s) over [-1, 0] telescopes to M z(t) - M z(t-1), so
-    # the kernel path must agree with the discrete-tap system up to the
-    # (first-order, jump-limited) kernel quadrature error
+    # integral of M dz(t+s) over [-1, 0] telescopes to M z(t) - M z(t-1); the
+    # kernel path reads exactly those two values, so it must agree with the
+    # discrete-tap system to rounding
     M = np.array([[0.2, -0.1], [0.4, 0.3]])
     base = dict(n=2, m=1, p=0, A_minus1=[[0.3, 0.0], [0.0, 0.1]], B=[[1], [0]])
     with_kernel = NeutralSystem(
@@ -157,18 +157,57 @@ def test_kernel_constant_derivative_matches_discrete_reduction():
     )
     discrete = NeutralSystem(A0=M, A1=-M, **base)
 
-    def gap(q):
-        hist = History.from_function(
-            lambda th: np.array([np.cos(th), np.sin(2 * th)]), q,
-            dfn=lambda th: np.array([-np.sin(th), 2 * np.cos(2 * th)]),
-        )
-        a = simulate(with_kernel, hist, horizon=3.0, step=1.0 / q)
-        b = simulate(discrete, hist, horizon=3.0, step=1.0 / q)
-        return np.max(np.abs(a.z - b.z)) / (1.0 + np.abs(b.z).max())
+    q = 100
+    hist = History.from_function(
+        lambda th: np.array([np.cos(th), np.sin(2 * th)]), q,
+        dfn=lambda th: np.array([-np.sin(th), 2 * np.cos(2 * th)]),
+    )
+    a = simulate(with_kernel, hist, horizon=3.0, step=1.0 / q)
+    b = simulate(discrete, hist, horizon=3.0, step=1.0 / q)
+    assert np.max(np.abs(a.z - b.z)) / (1.0 + np.abs(b.z).max()) <= 1e-12
 
-    g100, g200 = gap(100), gap(200)
-    assert g100 <= 5e-3
-    assert g100 / g200 >= 1.8
+
+_K2 = np.array([[0.4, -0.2], [0.1, 0.3]])
+_K3 = np.array([[-0.5, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize(
+    "kernels, qs",
+    [
+        ((KernelSegment(-0.5, 0.0, _K2, Z2),), (40, 80)),
+        ((KernelSegment(-1.0, -0.25, Z2, _K3),), (40, 80)),
+        (
+            (KernelSegment(-0.75, -0.25, _K2, _K3), KernelSegment(-0.25, 0.0, -_K2, 0.5 * _K3)),
+            (40, 80),
+        ),
+        # off the grid with b within one step of 0, so the reads near t are
+        # interpolated and extrapolated; on finer grids those reads dominate
+        ((KernelSegment(-0.733, -0.0037, _K2, _K3),), (80, 160)),
+    ],
+    ids=["A2", "A3", "A2+A3", "off-grid"],
+)
+def test_kernel_eigen_solution_convergence(kernels, qs):
+    # a real root lam of det D with D(lam) v = 0 gives the exact solution
+    # z(t) = e^{lam t} v, and its restriction to [-1, 0] is a compatible history
+    from neutralctl import SpectrumRegion, delta, find_roots
+
+    sys = NeutralSystem(
+        n=2, m=1, p=0, A_minus1=[[0.3, 0.1], [-0.2, 0.2]], A0=[[-2.0, 0.5], [0.0, 0.5]],
+        A1=[[0.2, 0.0], [0.1, -0.3]], B=[[1], [0]], kernels=kernels,
+    )
+    roots = find_roots(sys, SpectrumRegion(-3.0, 2.0, -1.0, 1.0))
+    lam = max(r.lam.real for r in roots if abs(r.lam.imag) < 1e-9 and r.multiplicity == 1)
+    v = np.linalg.svd(delta(sys, lam).real)[2][-1]
+
+    def err(q):
+        hist = History.from_function(
+            lambda th: np.exp(lam * th) * v, q, dfn=lambda th: lam * np.exp(lam * th) * v
+        )
+        traj = simulate(sys, hist, horizon=3.0, step=1.0 / q)
+        exact = np.exp(lam * traj.t)[:, None] * v
+        return np.max(np.abs(traj.z - exact)) / np.max(np.abs(exact))
+
+    assert np.log2(err(qs[0]) / err(qs[1])) >= 3.8
 
 
 def test_estimate_decay_synthetic_exponential():
@@ -244,6 +283,8 @@ def test_history_finite_difference_consistency():
     df = lambda th: np.array([3 * np.cos(3 * th)])
     for q in (20, 40):
         hist = History.from_function(f, q)
+        theta = -1.0 + np.arange(q + 1) / q
+        assert np.array_equal(History.from_samples(f(theta)[0][:, None], q).dz, hist.dz)
         exact = np.array([df(-1.0 + j / q) for j in range(q + 1)])
         # one-sided endpoint stencils carry a larger constant than the interior
         assert np.max(np.abs(hist.dz - exact)[1:-1]) <= 5.0 * (1.0 / q) ** 2

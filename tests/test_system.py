@@ -53,6 +53,25 @@ def test_parse_missing_field():
         parse_system('{"n": 1, "m": 1, "A_minus1": [[0]], "A0": [[0]], "B": [[1]]}')
 
 
+SCALAR = '{"n": 1, "m": 1, "A_minus1": [[0]], "A0": [[%s]], "A1": [[0]], "B": [[1]]%s}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SCALAR % ("NaN", ""),
+        SCALAR % ("Infinity", ""),
+        SCALAR % ("-1e999", ""),
+        SCALAR % ("true", ""),
+        SCALAR % ("0", ', "kernels": [{"a": -1, "b": false, "A2": [[0]], "A3": [[1]]}]'),
+    ],
+    ids=["nan", "infinity", "overflow", "bool-entry", "bool-bound"],
+)
+def test_parse_rejects_non_finite_and_boolean_numbers(text):
+    with pytest.raises(SystemFormatError):
+        parse_system(text)
+
+
 def test_round_trip_exact():
     text = json.dumps(
         {
