@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_region(args, sysm):
-    if args.re_min is None and args.re_max is None and args.im_max is None:
-        return spectrum.default_region(sysm)
     base = spectrum.default_region(sysm)
     re_min = args.re_min if args.re_min is not None else base.re_min
     re_max = args.re_max if args.re_max is not None else base.re_max

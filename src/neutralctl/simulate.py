@@ -191,18 +191,9 @@ def _history_integral(z, lo, hi):
     return ((width[:, None] * _GL3_W).ravel() / q) @ _interp_many(z, q, x.ravel())
 
 
-def _zero_control(sys):
-    zeros = np.zeros(sys.m)
-
-    def ufun(t, y, zr, dzr):
-        return zeros
-
-    return ufun
-
-
 def _make_control(sys, control):
     if control is None:
-        return _zero_control(sys)
+        control = np.zeros(sys.m)
     if callable(control):
         def ufun(t, y, zr, dzr):
             return np.atleast_1d(np.asarray(control(t), dtype=float))

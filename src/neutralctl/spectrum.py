@@ -9,10 +9,12 @@ The eigenvalues are the zeros of det D(lambda) where
 with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda continued
 through lambda = 0 by its power series.  Zeros are counted on rectangle
 boundaries by the argument principle, isolated by adaptive subdivision and
-refined by multiplicity-aware Newton iteration on the determinant.  Only the
-outer contour of a search is hash-perturbed; each sub-rectangle reuses its
-parent's edge panels and adds one cut line, which gets the same edge-local
-vanishing-determinant check as every edge.  Each
+refined by multiplicity-aware Newton iteration on the determinant, started at
+the centroid of a leaf's zeros (the first contour moment, taken on the same
+quadrature nodes).  Only the outer contour of a search is hash-perturbed, and
+it is integrated once; each sub-rectangle reuses its parent's edge panels and
+adds one cut line, which gets the same edge-local vanishing-determinant check
+as every edge.  Each
 nonzero eigenvalue mu of A_minus1 generates a vertical chain of eigenvalues
 approaching ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
 """
@@ -74,11 +76,15 @@ class SingularAtEvaluationPoint(SpectrumError):
 
 
 class ContourThroughZero(SpectrumError):
-    """A zero stayed on the counting contour through all perturbation attempts."""
+    """det D vanished or was not finite on a counting contour edge.
+
+    The message names the edge and the |det| magnitudes that triggered it.
+    Also raised when no cut line of a search rectangle could be integrated.
+    """
 
 
 class QuadratureNotConverged(SpectrumError):
-    """Boundary quadrature never settled within 0.25 of an integer."""
+    """Boundary quadrature ran out of panels or missed an integer winding."""
 
 
 class MaxDepthExceeded(SpectrumError):
@@ -113,20 +119,13 @@ class SpectrumRegion:
     def height(self):
         return self.im_max - self.im_min
 
-    @property
-    def center(self):
-        return complex(0.5 * (self.re_min + self.re_max), 0.5 * (self.im_min + self.im_max))
-
     def symmetrized(self) -> "SpectrumRegion":
         """Reflection-symmetric cover about the real axis."""
         top = max(abs(self.im_min), abs(self.im_max))
         return SpectrumRegion(self.re_min, self.re_max, -top, top)
 
-    def contains(self, lam: complex, pad: float = 0.0) -> bool:
-        return (
-            self.re_min - pad <= lam.real <= self.re_max + pad
-            and self.im_min - pad <= lam.imag <= self.im_max + pad
-        )
+    def contains(self, lam: complex) -> bool:
+        return self.re_min <= lam.real <= self.re_max and self.im_min <= lam.imag <= self.im_max
 
 
 @dataclass(frozen=True)
@@ -254,41 +253,41 @@ def det_logderiv(sys: NeutralSystem, lam: complex):
     return complex(det[0]), complex(logd[0])
 
 
-class _EdgeTrouble(Exception):
-    # internal: the edge cannot be resolved; reason "floor" means det vanished
-    # on the contour, "budget" that refinement never settled
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
-
-
 @dataclass(frozen=True)
 class _Side:
     # Accepted panels of one rectangle side, which runs west to east or south
     # to north with parameter t in [0, 1]: the panel boundaries t, the
-    # integrals of logderiv dz over the panels, and the smallest node |det|
-    # evaluated inside each panel.
+    # integrals of logderiv dz and lambda logderiv dz over the panels (one
+    # row of two per panel), and the smallest node |det| evaluated inside
+    # each panel.
     t: np.ndarray
     val: np.ndarray
     mag: np.ndarray
 
 
+def _edge_error(kind, z0, z1, what, min_det, med):
+    return kind(f"{what} on edge {z0} -> {z1} (min |det| {min_det:.3g}, median {med:.3g})")
+
+
 def _gl_batch(sys, z0, z1, segs):
-    # One GL10 integral of logderiv per (a, b) row of segs, a sub-segment of
-    # [z0, z1] in its parameter, with the node parameters and the |det| node
-    # magnitudes for the vanishing-determinant floor check.
+    # GL10 integrals of logderiv and lambda logderiv per (a, b) row of segs,
+    # a sub-segment of [z0, z1] in its parameter, with the node parameters
+    # and the |det| node magnitudes for the vanishing-determinant floor check.
     a = segs[:, 0][:, None]
     hw = 0.5 * (segs[:, 1] - segs[:, 0])[:, None]
     s = (a + (_GL_NODES + 1.0) * hw).ravel()
     w = (np.broadcast_to(_GL_WEIGHTS, (segs.shape[0], 10)) * hw).ravel()
+    z = z0 + s * (z1 - z0)
     try:
-        det, logd = _det_logderiv_many(sys, z0 + s * (z1 - z0))
+        det, logd = _det_logderiv_many(sys, z)
     except SingularAtEvaluationPoint:
-        raise _EdgeTrouble("floor") from None
-    vals = (w * logd).reshape(segs.shape[0], 10).sum(axis=1) * (z1 - z0)
+        raise ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}") from None
+    wl = w * logd
+    vals = np.column_stack([wl, wl * z]).reshape(segs.shape[0], 10, 2).sum(axis=1) * (z1 - z0)
     mags = np.abs(det)
     if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
-        raise _EdgeTrouble("floor")
+        lo, med = float(np.min(mags)), float(np.median(mags))
+        raise _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
     return vals, s, mags
 
 
@@ -328,20 +327,18 @@ def _adaptive_edge(sys, z0, z1, segs=None):
         node_mags.append(mags)
         min_det = min(min_det, float(np.min(mags)))
         if min_det <= 1e-12 * med:
-            raise _EdgeTrouble("floor")
+            raise _edge_error(ContourThroughZero, z0, z1, "det D vanishes", min_det, med)
         fine = vals[0::2] + vals[1::2]
-        err = np.abs(fine - old)
+        err = np.abs(fine[:, 0] - old[:, 0])
         tiny = (b - a) <= _MIN_SEG
-        if np.any(tiny & (err > _EDGE_BUDGET)):
-            raise _EdgeTrouble("budget")
         ok = tiny | (err <= _EDGE_BUDGET * (b - a))
         done_a.append(a[ok])
         done_val.append(fine[ok])
         again = np.repeat(~ok, 2)
         active, old = halves[again], vals[again]
         processed += len(active)
-        if processed > _MAX_SEGS:
-            raise _EdgeTrouble("budget")
+        if processed > _MAX_SEGS or np.any(tiny & (err > _EDGE_BUDGET)):
+            raise _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle", min_det, med)
     a = np.concatenate(done_a)
     order = np.argsort(a)
     t = np.append(a[order], end)
@@ -362,8 +359,10 @@ def _side_ends(rect):
 
 
 def _winding(sides):
-    # counterclockwise winding of det D over bottom, right, top and left
-    bottom, right, top, left = (complex(side.val.sum()) for side in sides)
+    # counterclockwise contour moments (1/2 pi i) int lambda^p det'/det,
+    # p = 0, 1, over bottom, right, top and left: the zero count and the sum
+    # of the zeros
+    bottom, right, top, left = (side.val.sum(axis=0) for side in sides)
     return (bottom + right - top - left) / (2.0j * math.pi)
 
 
@@ -375,26 +374,11 @@ def _count_of(W):
     return k if k >= 0 and abs(W - k) <= 0.25 else None
 
 
-def _try_winding(sys, rect):
-    # (status, count, sides) of one contour attempt on the rectangle
-    try:
-        edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in _side_ends(rect)]
-    except _EdgeTrouble as e:
-        return ("near_zero" if e.reason == "floor" else "noconv"), None, None
-    sides = [side for side, _ in edges]
-    min_det = min(float(np.min(side.mag)) for side in sides)
-    if min_det <= 1e-12 * max(med for _, med in edges):
-        return "near_zero", None, None
-    W = _winding(sides)
-    if not np.isfinite(W):
-        return "near_zero", None, None
-    k = _count_of(W)
-    return ("noconv" if k is None else "ok"), k, sides
-
-
-def _inflate(rect, attempt):
-    # Deterministic pseudo-random inflation by 1e-6 .. 1e-4 of the size per side.
-    key = repr((rect.re_min, rect.re_max, rect.im_min, rect.im_max, attempt)).encode()
+def _inflate(rect):
+    # Deterministic pseudo-random inflation by 1e-6 .. 1e-4 of the size per
+    # side.  The key's trailing 0 fixes where every contour lies, and with it
+    # the root digits and the work counts.
+    key = repr((rect.re_min, rect.re_max, rect.im_min, rect.im_max, 0)).encode()
     digest = hashlib.sha256(key).digest()
     fs = []
     for i in range(4):
@@ -410,20 +394,26 @@ def _inflate(rect, attempt):
 
 
 def _outer_contour(sys, region):
-    # (count, contour rectangle, its four sides) on the first inflated copy
-    # of the region whose winding settles
-    saw_near = False
-    for attempt in range(9):
-        rect = _inflate(region, attempt)
-        status, k, sides = _try_winding(sys, rect)
-        if status == "ok":
-            return k, rect, sides
-        saw_near = saw_near or status == "near_zero"
-    if saw_near:
-        raise ContourThroughZero(
-            f"zero of det D persists on the boundary of {region} after 8 perturbations"
-        )
-    raise QuadratureNotConverged(f"winding number did not stabilize on {region}")
+    # (count, contour rectangle, its four sides) on the inflated copy of the
+    # region, integrated once
+    rect = _inflate(region)
+    ends = _side_ends(rect)
+    edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in ends]
+    sides = [side for side, _ in edges]
+    # cross-edge floor: the smallest |det| of any side against the largest median
+    lows = [float(np.min(side.mag)) for side in sides]
+    low = int(np.argmin(lows))
+    med = max(m for _, m in edges)
+    if lows[low] <= 1e-12 * med:
+        what = "det D vanishes (median: largest of the four edges)"
+        raise _edge_error(ContourThroughZero, *ends[low], what, lows[low], med)
+    W = _winding(sides)[0]
+    if not np.isfinite(W):
+        raise ContourThroughZero(f"winding of det D over {rect} is not finite")
+    k = _count_of(W)
+    if k is None:
+        raise QuadratureNotConverged(f"winding {W:.6g} over {rect} is not near an integer")
+    return k, rect, sides
 
 
 def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
@@ -434,11 +424,12 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     contour is always a copy of the rectangle inflated by a deterministic
     pseudo-random factor in [1e-6, 1e-4] of its size; a zero exactly on the
     requested boundary would otherwise contribute a half winding (an integer
-    for even multiplicities, hence undetectable).  Up to 8 further inflation
-    attempts are made when det vanishes on the contour.  Only this outer
-    contour is perturbed: find_roots counts the sub-rectangles of its search
-    on their parent's panels plus one cut line each, not through this
-    function.
+    for even multiplicities, hence undetectable).  The contour is integrated
+    once: a det that vanishes or is not finite on it raises
+    ContourThroughZero, and panels that do not settle raise
+    QuadratureNotConverged, each naming the edge.  Only this outer contour
+    is perturbed: find_roots counts the sub-rectangles of its search on
+    their parent's panels plus one cut line each, not through this function.
     """
     return _outer_contour(sys, region)[0]
 
@@ -456,48 +447,32 @@ def _residual(sys, lam):
     return float(here / scale), scale, r
 
 
-def _newton_cluster(sys, rect, count, tol):
-    # Multiplicity-aware Newton from the rectangle center.  For multiple roots
-    # the determinant bottoms out at the cancellation noise of the matrix
-    # entries, so the iteration keeps its best point and stops on stall; the
-    # accepted root must then pass the residual test and an isolating count
-    # (tried at growing radii until the contour clears the noise floor).
-    lam = rect.center
-    pad = 0.25 * max(rect.width, rect.height)
+def _newton_cluster(sys, rect, count, sides, tol):
+    # Multiplicity-aware Newton from the centroid s1 / s0 of the leaf's zeros
+    # (the moments' common quadrature error cancels in the ratio, unlike in
+    # s1 / count).  For multiple roots |det| bottoms out at the cancellation
+    # noise of the matrix entries, so the iteration stops at the first step
+    # that does not lower |det| and keeps its best point; the accepted root
+    # must then pass the residual test and an isolating count (tried at
+    # growing radii until the contour clears the noise floor).
+    s0, s1 = _winding(sides)
+    lam = complex(s1 / s0)
     best = None
     best_mag = math.inf
-    stall = 0
-    iterations = 0
-    for _ in range(60):
-        iterations += 1
+    for iterations in range(1, 61):
         try:
             det, logd = det_logderiv(sys, lam)
         except SingularAtEvaluationPoint:
             best, best_mag = lam, 0.0
             break
         mag = abs(det)
-        if mag < best_mag:
-            best, best_mag, stall = lam, mag, 0
-        else:
-            stall += 1
-            if stall >= 4:
-                break
+        if not mag < best_mag:
+            break
+        best, best_mag = lam, mag
         if mag == 0.0 or not np.isfinite(logd):
             break
-        step = -count / logd
-        nxt = lam + step
-        if not rect.contains(nxt, pad=pad):
-            break
-        lam = nxt
-        if abs(step) <= 1e-14 * (1.0 + abs(lam)):
-            try:
-                mag = abs(det_logderiv(sys, lam)[0])
-            except SingularAtEvaluationPoint:
-                mag = 0.0
-            if mag <= best_mag:
-                best, best_mag = lam, mag
-            break
-    if best is None or not rect.contains(best, pad=0.0):
+        lam = lam - count / logd
+    if best is None or not rect.contains(best):
         return None
     lam = best
     res, probe_scale, probe_r = _residual(sys, lam)
@@ -577,9 +552,9 @@ def _split(sys, rect, sides):
                 lo = SpectrumRegion(rect.re_min, x, rect.im_min, rect.im_max)
                 hi = SpectrumRegion(x, rect.re_max, rect.im_min, rect.im_max)
                 kids = [(lo, (b1, cut, t1, left)), (hi, (b2, right, t2, cut))]
-        except _EdgeTrouble:
+        except SpectrumError:
             continue
-        counts = [_count_of(_winding(s)) for _, s in kids]
+        counts = [_count_of(_winding(s)[0]) for _, s in kids]
         if None not in counts:
             return [(r, k, s) for (r, s), k in zip(kids, counts)]
     raise ContourThroughZero(
@@ -633,7 +608,7 @@ def find_roots(
     while stack:
         rect, count, sides = stack.pop()
         if math.hypot(rect.width, rect.height) <= _NEWTON_DIAM:
-            root = _newton_cluster(sys, rect, count, tol)
+            root = _newton_cluster(sys, rect, count, sides, tol)
             if root is not None:
                 roots.append(root)
                 continue

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import check_condition2
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    deadbeat_zero_cutoff,
-    pole_place_nonzero,
-    zero_eig_cutoff,
-)
+from .linalg import DEFAULT_RANK_TOL, _placement_ok, pole_place_nonzero
 from .spectrum import (
     DEFAULT_ROOT_TOL,
     Root,
@@ -81,8 +76,9 @@ def synthesize_stage1(
     """Choose F_minus1 for decay rate omega and report the residual spectrum.
 
     Controllable modes of A_minus1 go to the `targets` (default all zero).
-    stage1_ok is confirmed by an independent eigensolve of the closed
-    neutral coefficient.  Raises Condition2Violated when some nonzero
+    stage1_ok requires every chain left of -omega and an eigensolve of the
+    closed neutral coefficient that passes the placement check of
+    pole_place_nonzero.  Raises Condition2Violated when some nonzero
     eigenvalue of A_minus1 is immovable.
     """
     if omega <= 0:
@@ -101,10 +97,7 @@ def synthesize_stage1(
     roots = find_roots(inter, region, tol_root)
     residual = tuple(r for r in roots if r.lam.real >= -omega - 1e-10)
 
-    closed = inter.A_minus1
-    eigs = np.linalg.eigvals(closed)
-    zcut = deadbeat_zero_cutoff(closed) if targets is None else zero_eig_cutoff(closed)
-    placed_ok = bool(np.all((np.abs(eigs) < radius) | (np.abs(eigs) <= zcut)))
+    placed_ok = _placement_ok(sys.A_minus1, sys.B, F, radius, () if targets is None else targets)
     chains_ok = all(c.abscissa < -omega for c in chains)
     margin_ok = all(c.abscissa < -omega - ASYMPTOTIC_MARGIN for c in chains)
     return StabilizationPlan(

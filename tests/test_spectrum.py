@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neutralctl import (
+    ContourThroughZero,
     KernelSegment,
     NeutralSystem,
     SingularAtEvaluationPoint,
@@ -262,20 +263,38 @@ def test_split_counts_match_fresh_counts(case, region, ex5):
         assert k == count_zeros(sys, child)
 
 
-def test_find_roots_work_bound(ex5, monkeypatch):
-    # deterministic work counter: log-derivative points of one wide search
-    # (172,669 when every split recounted both children from scratch)
+def count_points(monkeypatch, name):
+    # the number of points of each call of spectrum.<name>
     points = []
-    inner = spectrum._det_logderiv_many
+    inner = getattr(spectrum, name)
 
     def counted(sys, lam):
         points.append(np.size(lam))
         return inner(sys, lam)
 
-    monkeypatch.setattr(spectrum, "_det_logderiv_many", counted)
+    monkeypatch.setattr(spectrum, name, counted)
+    return points
+
+
+def test_find_roots_work_bound(ex5, monkeypatch):
+    # deterministic work counters of one wide search: log-derivative points
+    # (172,669 when every split recounted both children from scratch) and
+    # Newton's det_logderiv calls (94 when Newton started at the leaf centre)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    calls = count_points(monkeypatch, "det_logderiv")
     roots = find_roots(ex5, SpectrumRegion(-1, 1, -40, 40))
     assert sum(r.multiplicity for r in roots) == 15
     assert sum(points) <= 60_000
+    assert len(calls) <= 70
+
+
+def test_failing_outer_contour_is_integrated_once(monkeypatch):
+    # e^{-lambda} overflows on the whole far-left window, so the first edge
+    # fails; re-inflating the contour 8 more times took 11,340 points
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    with pytest.raises(ContourThroughZero, match=r"on edge \(-800\.\d+-5\.\d+j\) -> \(-699\."):
+        find_roots(scalar_system(a_minus1=0.5), SpectrumRegion(-800, -700, -5, 5))
+    assert sum(points) <= 2_000
 
 
 def test_predict_chains_example5(ex5):
