@@ -16,14 +16,11 @@ from .analysis import (
     verdict_to_dict,
 )
 from .linalg import (
-    PairTestResult,
     PlacementError,
     RankReport,
     Staircase,
     UnstabilizableMode,
     controllable_staircase,
-    eigen_rank_test,
-    inclusion_rank_test,
     kalman_matrix,
     numerical_rank,
     pole_place_nonzero,

@@ -5,8 +5,10 @@ Two rank conditions decide the control-theoretic properties:
   condition 1: rank [D(lambda), B] = n at every eigenvalue lambda (tested at
                every root found in a search region; D(lambda) is nonsingular
                off the spectrum, so the rank can only drop there);
-  condition 2: rank [mu I - A_minus1, B] = n for every nonzero mu, decided
-               exactly through the Kalman-image inclusion test.
+  condition 2: rank [mu I - A_minus1, B] = n for every nonzero mu, which
+               holds when the uncontrollable block of the orthogonal
+               controllability staircase of (A_minus1, B) is nilpotent, to
+               the rank tolerance; its nonzero eigenvalues are the witnesses.
 
 Together they characterize complete stabilizability by derivative-plus-state
 feedback; they are necessary for exact null controllability, and sufficiency
@@ -24,8 +26,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_RANK_TOL,
     ZERO_EIG_RTOL,
-    eigen_rank_test,
-    inclusion_rank_test,
+    controllable_staircase,
     numerical_rank,
 )
 from .spectrum import (
@@ -90,17 +91,21 @@ class Verdict:
 
 
 def check_condition2(sys: NeutralSystem, tol_rank: float = DEFAULT_RANK_TOL) -> CheckResult:
-    """rank [mu I - A_minus1, B] = n for all mu != 0, decided exactly.
+    """rank [mu I - A_minus1, B] = n for all mu != 0.
 
-    The Kalman-image inclusion test gives the verdict from two finite ranks;
-    the eigenvalue sweep supplies witnesses when it fails.
+    Decided by the orthogonal controllability staircase of (A_minus1, B): the
+    condition holds when its uncontrollable block is nilpotent, to the rank
+    tolerance.  Each nonzero eigenvalue mu of that block is a witness, with a
+    vector v such that v^H [mu I - A_minus1, B] = 0 by construction;
+    rank_found is the numerical rank of [mu I - A_minus1, B].
     """
-    res = inclusion_rank_test(sys.A_minus1, sys.B, tol_rank)
-    if res.passed:
-        return CheckResult(True, (), "exact")
-    eig = eigen_rank_test(sys.A_minus1, sys.B, tol_rank)
-    witnesses = tuple(Witness(mu, v, r) for mu, v, r in eig.witnesses)
-    return CheckResult(False, witnesses, "exact")
+    st = controllable_staircase(sys.A_minus1, sys.B, tol_rank)
+    witnesses = tuple(
+        Witness(mu, v, numerical_rank(np.hstack([mu * np.eye(sys.n) - sys.A_minus1, sys.B]),
+                                      tol_rank).rank)
+        for mu, v in st.uncontrollable_modes()
+    )
+    return CheckResult(not witnesses, witnesses, "exact")
 
 
 def check_condition1(
@@ -125,7 +130,6 @@ def check_condition1(
         if rep.rank < sys.n:
             U, _, _ = np.linalg.svd(M)
             witnesses.append(Witness(root.lam, U[:, -1], rep.rank))
-    witnesses.sort(key=lambda w: (w.lam.real, w.lam.imag))
     return CheckResult(not witnesses, tuple(witnesses), "region_limited")
 
 
@@ -252,12 +256,7 @@ def verdict_to_dict(
             "scope": verdict.condition2.scope,
             "witnesses": [_witness_to_dict(w) for w in verdict.condition2.witnesses],
         },
-        "region": {
-            "re_min": verdict.region.re_min,
-            "re_max": verdict.region.re_max,
-            "im_min": verdict.region.im_min,
-            "im_max": verdict.region.im_max,
-        },
+        "region": verdict.region.as_dict(),
         "tolerances": {
             "rank": tol_rank,
             "root": tol_root,

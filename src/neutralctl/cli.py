@@ -109,24 +109,7 @@ def _cmd_spectrum(args) -> int:
     chains = spectrum.predict_chains(sysm)
     outdir = Path(args.out)
     _write(outdir, "roots.csv", spectrum.roots_to_csv(roots))
-    _write(
-        outdir,
-        "chains.json",
-        _json_dump(
-            {
-                "chains": [
-                    {
-                        "mu_re": c.mu.real,
-                        "mu_im": c.mu.imag,
-                        "abscissa": c.abscissa,
-                        "phase": c.phase,
-                        "multiplicity": c.multiplicity,
-                    }
-                    for c in chains
-                ]
-            }
-        ),
-    )
+    _write(outdir, "chains.json", _json_dump({"chains": [c.as_dict() for c in chains]}))
     kmax = int(region.symmetrized().im_max / (2 * math.pi)) + 2
     _write(outdir, "spectrum.svg", svg.spectrum_svg(roots, chains, region.symmetrized(),
                                                     chain_indices=range(-kmax, kmax + 1)))

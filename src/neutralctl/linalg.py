@@ -1,11 +1,15 @@
 """Finite-dimensional linear algebra: tolerance-based numerical rank,
-controllability (Kalman) matrices, the two equivalent rank tests for the
-neutral coefficient, the controllability staircase decomposition and
-disk-targeted pole placement.
+controllability (Kalman) matrices, the orthogonal controllability staircase
+and disk-targeted pole placement.
+
+The staircase is the one place that decides which modes of a pair (A, B) the
+input cannot reach: condition 2 of the analysis and the placement's
+unstabilizable-mode check both read its uncontrollable_modes().
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,14 +19,11 @@ __all__ = [
     "RANK_FLOOR",
     "ZERO_EIG_RTOL",
     "RankReport",
-    "PairTestResult",
     "Staircase",
     "UnstabilizableMode",
     "PlacementError",
     "numerical_rank",
     "kalman_matrix",
-    "inclusion_rank_test",
-    "eigen_rank_test",
     "controllable_staircase",
     "pole_place_nonzero",
     "zero_eig_cutoff",
@@ -60,19 +61,6 @@ class RankReport:
     rank: int
     singular_values: np.ndarray
     tolerance_used: float
-
-
-@dataclass(frozen=True)
-class PairTestResult:
-    """Outcome of a rank test on a matrix pair, with numeric evidence.
-
-    For the inclusion test the reports are (rank of K, rank of [K, A^n]).
-    Witnesses hold (mu, left null vector, rank found) triples on failure.
-    """
-
-    passed: bool
-    reports: tuple[RankReport, ...]
-    witnesses: tuple[tuple[complex, np.ndarray, int], ...] = ()
 
 
 def zero_eig_cutoff(A) -> float:
@@ -121,56 +109,6 @@ def kalman_matrix(A, B) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def inclusion_rank_test(A, B, tol: float = DEFAULT_RANK_TOL) -> PairTestResult:
-    """Decide whether the image of A^n lies in the image of the Kalman matrix.
-
-    Equivalent to: rank [mu I - A, B] = n for every eigenvalue mu != 0.
-    Decided exactly from two finite ranks, no eigenvalue sweep needed.
-    """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    K = kalman_matrix(A, B)
-    r1 = numerical_rank(K, tol)
-    r2 = numerical_rank(np.hstack([K, np.linalg.matrix_power(A, n)]), tol)
-    return PairTestResult(passed=r1.rank == r2.rank, reports=(r1, r2))
-
-
-def _left_null_vector(M):
-    # v with v^H M ~ 0: left singular vector of the smallest singular value.
-    U, _, _ = np.linalg.svd(M)
-    return U[:, -1]
-
-
-def eigen_rank_test(A, B, tol: float = DEFAULT_RANK_TOL) -> PairTestResult:
-    """Check rank [mu I - A, B] = n at every nonzero eigenvalue mu of A.
-
-    On failure the witnesses carry the offending mu and a left null vector v
-    with v^H [mu I - A, B] ~ 0.  Eigensolver failures propagate.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    cutoff = zero_eig_cutoff(A)
-    witnesses = []
-    reports = []
-    seen = []
-    for mu in sorted(eigs, key=lambda z: (z.real, z.imag)):
-        if abs(mu) <= cutoff:
-            continue
-        if any(abs(mu - s) <= 1e-12 * (1.0 + abs(mu)) for s in seen):
-            continue
-        seen.append(mu)
-        M = np.hstack([mu * np.eye(n) - A, B.astype(complex)])
-        rep = numerical_rank(M, tol)
-        reports.append(rep)
-        if rep.rank < n:
-            witnesses.append((complex(mu), _left_null_vector(M), rep.rank))
-    return PairTestResult(
-        passed=not witnesses, reports=tuple(reports), witnesses=tuple(witnesses)
-    )
-
-
 @dataclass(frozen=True)
 class Staircase:
     """Orthogonal controllability decomposition of a pair (A, B).
@@ -186,20 +124,44 @@ class Staircase:
     A_t: np.ndarray
     B_t: np.ndarray
 
-    @property
-    def uncontrollable_eigenvalues(self):
+    def uncontrollable_modes(self) -> list[tuple[complex, np.ndarray]]:
+        """(mu, v) for each distinct nonzero eigenvalue mu of the trailing
+        block, sorted by (Re, Im), with v^H [mu I - A, B] = 0.
+
+        v = Q[:, r:] conj(y) for a unit eigenvector y of the trailing block's
+        transpose, so the identity holds by construction and ||v|| = 1.  A
+        nilpotent block of order k scatters its computed eigenvalues up to
+        about ||block|| eps^(1/k), so mu counts as zero up to the larger of
+        zero_eig_cutoff(A) and deadbeat_zero_cutoff(block).
+        """
         r = self.n_controllable
         if r == self.A_t.shape[0]:
-            return np.array([], dtype=complex)
-        return np.linalg.eigvals(self.A_t[r:, r:])
+            return []
+        T = self.A_t[r:, r:]
+        mus, Y = np.linalg.eig(T.T)
+        zcut = max(zero_eig_cutoff(self.A_t), deadbeat_zero_cutoff(T))
+        modes = []
+        for i in sorted(range(mus.size), key=lambda i: (mus[i].real, mus[i].imag)):
+            mu = complex(mus[i])
+            if abs(mu) <= zcut or any(abs(mu - s) <= 1e-12 * (1.0 + abs(mu)) for s, _ in modes):
+                continue
+            modes.append((mu, self.Q[:, r:] @ np.conj(Y[:, i])))
+        return modes
 
 
 def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
     """Orthogonal similarity splitting (A, B) into controllable and
-    uncontrollable blocks by repeated SVDs of the sub-input blocks."""
+    uncontrollable blocks by repeated SVDs of the sub-input blocks.
+
+    Every block is ranked against one cutoff, tol * ||[A, B]||_F * (n + m),
+    set by the scale of the whole pair: a block that is zero up to rounding
+    of the pair's entries has rank 0, however small its own largest singular
+    value.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n = A.shape[0]
+    n, m = B.shape
+    cutoff = tol * math.hypot(np.linalg.norm(A), np.linalg.norm(B)) * (n + m)
     Q = np.eye(n)
     A_t = A.copy()
     B_t = B.copy()
@@ -208,7 +170,6 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
     blk = B_t
     while row0 < n:
         U, s, _ = np.linalg.svd(blk)
-        cutoff = tol * (s[0] if s.size else 0.0) * max(blk.shape)
         r = int(np.count_nonzero(s > cutoff))
         if r == 0:
             break
@@ -265,10 +226,10 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
         raise ValueError("radius must be positive")
     st = controllable_staircase(A, B, tol)
     r = st.n_controllable
+    mu = max((mu for mu, _ in st.uncontrollable_modes()), key=abs, default=0.0)
+    if abs(mu) >= radius:
+        raise UnstabilizableMode(mu)
     zcut = zero_eig_cutoff(A)
-    for mu in sorted(st.uncontrollable_eigenvalues, key=lambda z: -abs(z)):
-        if abs(mu) > zcut and abs(mu) >= radius:
-            raise UnstabilizableMode(mu)
     if r == 0:
         return np.zeros((m, n))
     if targets is None:

@@ -127,6 +127,11 @@ class SpectrumRegion:
     def contains(self, lam: complex) -> bool:
         return self.re_min <= lam.real <= self.re_max and self.im_min <= lam.imag <= self.im_max
 
+    def as_dict(self) -> dict:
+        """The JSON record written in verdict.json and plan.json."""
+        return {"re_min": self.re_min, "re_max": self.re_max,
+                "im_min": self.im_min, "im_max": self.im_max}
+
 
 @dataclass(frozen=True)
 class Root:
@@ -149,6 +154,11 @@ class SpectrumChain:
 
     def predict(self, k: int) -> complex:
         return complex(self.abscissa, self.phase + 2.0 * math.pi * k)
+
+    def as_dict(self) -> dict:
+        """The JSON record written in chains.json and plan.json."""
+        return {"mu_re": self.mu.real, "mu_im": self.mu.imag, "abscissa": self.abscissa,
+                "phase": self.phase, "multiplicity": self.multiplicity}
 
 
 def _phi_many(lam, a, b):
@@ -596,8 +606,9 @@ def find_roots(
     """All zeros of det D in the region, refined to residual <= tol.
 
     The region is symmetrized about the real axis first; the result is
-    sorted by (Re, Im), closed under conjugation, and its multiplicities
-    sum to the argument-principle count of the whole region.
+    sorted by (Re rounded to 9 decimals, Im), closed under conjugation, and
+    its multiplicities sum to the argument-principle count of the whole
+    region.
     """
     region = region.symmetrized()
     total, rect, sides = _outer_contour(sys, region)
@@ -616,7 +627,9 @@ def find_roots(
             raise MaxDepthExceeded(f"leaf {rect} below {_MIN_LEAF} still holds {count} zeros")
         stack.extend(kid for kid in reversed(_split(sys, rect, sides)) if kid[1])
     roots = _conjugate_close(roots)
-    roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
+    # Re rounded at a fixed scale, so that rounding noise in the real parts
+    # of a vertical chain does not decide its order
+    roots.sort(key=lambda r: (round(r.lam.real, 9), r.lam.imag))
     if sum(r.multiplicity for r in roots) != total:
         raise RootAccountingError(
             f"refined multiplicities sum to {sum(r.multiplicity for r in roots)}, "

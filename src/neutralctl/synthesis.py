@@ -85,8 +85,7 @@ def synthesize_stage1(
         raise ValueError("omega must be positive")
     c2 = check_condition2(sys, tol_rank)
     if not c2.passed:
-        mu = max((w.lam for w in c2.witnesses), key=abs, default=complex("nan"))
-        raise Condition2Violated(mu)
+        raise Condition2Violated(max((w.lam for w in c2.witnesses), key=abs))
     radius = math.exp(-omega)
     F = pole_place_nonzero(sys.A_minus1, sys.B, radius, targets=targets, tol=tol_rank)
     law = FeedbackLaw(F, np.zeros_like(F), np.zeros_like(F))
@@ -136,16 +135,7 @@ def plan_to_dict(plan: StabilizationPlan) -> dict:
     return {
         "omega": plan.omega,
         "F_minus1": plan.F_minus1.tolist(),
-        "chains_after": [
-            {
-                "mu_re": c.mu.real,
-                "mu_im": c.mu.imag,
-                "abscissa": c.abscissa,
-                "phase": c.phase,
-                "multiplicity": c.multiplicity,
-            }
-            for c in plan.chains_after
-        ],
+        "chains_after": [c.as_dict() for c in plan.chains_after],
         "residual_roots": [
             {
                 "re": r.lam.real,
@@ -158,12 +148,7 @@ def plan_to_dict(plan: StabilizationPlan) -> dict:
         "stage1_ok": plan.stage1_ok,
         "stage2_required": plan.stage2_required,
         "asymptotic_margin_ok": plan.asymptotic_margin_ok,
-        "region": {
-            "re_min": plan.region.re_min,
-            "re_max": plan.region.re_max,
-            "im_min": plan.region.im_min,
-            "im_max": plan.region.im_max,
-        },
+        "region": plan.region.as_dict(),
         "note": (
             "residual_roots lists the finitely many eigenvalues with "
             "Re lambda >= -omega that a distributed second-stage feedback "

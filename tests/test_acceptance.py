@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -116,16 +117,56 @@ def test_criterion_05_chain_asymptotics(capfd, ):
             assert b <= 1.1 * a
 
 
+def _exact_rank(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_kalman_inclusion(A, B):
+    """Im A^n inside Im [B, AB, ..., A^(n-1) B] for integer matrices given as
+    lists of rows, decided in exact arithmetic (no numpy).  It is equivalent
+    to rank [mu I - A, B] = n for every mu != 0."""
+    n = len(A)
+
+    def mul(X, Y):
+        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(len(Y[0]))]
+                for i in range(n)]
+
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(mul(A, blocks[-1]))
+    An = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        An = mul(A, An)
+    K = [sum((blk[i] for blk in blocks), []) for i in range(n)]
+    return _exact_rank(K) == _exact_rank([K[i] + An[i] for i in range(n)])
+
+
 def test_criterion_06_rank_test_equivalence(capfd, ):
-    with timed(capfd, 6, "eigenvalue sweep equals Kalman-image inclusion on 1000 pairs", 30.0):
+    with timed(capfd, 6, "staircase condition 2 equals exact Kalman-image inclusion on 1000 pairs",
+               30.0):
         rng = np.random.default_rng(20250101)
         agree = 0
         for _ in range(1000):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, 4))
-            A = rng.integers(-2, 3, size=(n, n)).astype(float)
-            B = rng.integers(-2, 3, size=(n, m)).astype(float)
-            if nc.inclusion_rank_test(A, B).passed == nc.eigen_rank_test(A, B).passed:
+            A = rng.integers(-2, 3, size=(n, n))
+            B = rng.integers(-2, 3, size=(n, m))
+            sys_ = nc.NeutralSystem(n=n, m=m, p=0, A_minus1=A.astype(float),
+                                    A0=np.zeros((n, n)), A1=np.zeros((n, n)),
+                                    B=B.astype(float))
+            if nc.check_condition2(sys_).passed == _exact_kalman_inclusion(A.tolist(), B.tolist()):
                 agree += 1
         assert agree == 1000
 

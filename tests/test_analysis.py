@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutralctl import (
     NeutralSystem,
     NoOutputError,
+    UnstabilizableMode,
     SpectrumRegion,
     check_condition1,
     check_condition2,
@@ -11,6 +14,7 @@ from neutralctl import (
     check_null_controllability,
     check_stabilizability,
     delta,
+    pole_place_nonzero,
     synthesize_stage1,
     transpose_dual,
     verdict_to_dict,
@@ -34,6 +38,97 @@ def test_condition2_immovable_chain():
     res = check_condition2(sys)
     assert not res.passed
     assert any(abs(w.lam - 1.0) < 1e-9 for w in res.witnesses)
+
+
+def _neutral_pair(A, B):
+    n = A.shape[0]
+    return NeutralSystem(n=n, m=B.shape[1], p=0, A_minus1=A, A0=np.zeros((n, n)),
+                         A1=np.zeros((n, n)), B=B)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_condition2_distinct_diagonal_is_controllable(n):
+    # the Kalman matrix of this controllable pair is an ill-conditioned
+    # Vandermonde matrix; the staircase does not form it
+    res = check_condition2(_neutral_pair(np.diag(np.linspace(1.1, 2.0, n)), np.ones((n, 1))))
+    assert res.passed and res.witnesses == ()
+
+
+def _rotated_planted_pair(rng, nilpotent):
+    """(Q A Q^T, Q B) with A = [[Ac, A12], [0, Au]] and B = [[Bc], [0]]: a
+    generic (Ac, Bc) and an uncontrollable upper-triangular block Au, strictly
+    so when nilpotent.  Returns the pair and the diagonal of Au."""
+    nc = int(rng.integers(1, 5))
+    nu = int(rng.integers(2, 6)) if nilpotent else int(rng.integers(1, 4))
+    m = int(rng.integers(1, 3))
+    n = nc + nu
+    Au = np.triu(rng.standard_normal((nu, nu)), 1)
+    if not nilpotent:
+        Au += np.diag(rng.choice([-1.0, 1.0], nu) * rng.uniform(0.5, 3.0, nu))
+    A = np.block([[rng.standard_normal((nc, nc)), rng.standard_normal((nc, nu))],
+                  [np.zeros((nu, nc)), Au]])
+    B = np.vstack([rng.standard_normal((nc, m)), np.zeros((nu, m))])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q @ A @ Q.T, Q @ B, np.diag(Au)
+
+
+def test_condition2_rotated_planted_block():
+    rng = np.random.default_rng(4242)
+    for _ in range(300):
+        A, B, planted = _rotated_planted_pair(rng, nilpotent=False)
+        n = A.shape[0]
+        res = check_condition2(_neutral_pair(A, B))
+        assert not res.passed
+        for mu in planted:
+            (w,) = [w for w in res.witnesses if abs(w.lam - mu) <= 1e-6 * (1 + abs(mu))]
+            M = np.hstack([w.lam * np.eye(n) - A, B])
+            v = w.null_vector
+            assert np.linalg.norm(v.conj() @ M) <= 1e-9 * np.linalg.norm(v) * (1 + np.linalg.norm(A))
+        radius = float(rng.uniform(0.2, 3.5))
+        if np.max(np.abs(planted)) >= radius:
+            with pytest.raises(UnstabilizableMode):
+                pole_place_nonzero(A, B, radius)
+        else:
+            F = pole_place_nonzero(A, B, radius)
+            assert np.all(np.abs(np.linalg.eigvals(A + B @ F)) < radius)
+
+
+def test_condition2_rotated_nilpotent_block_passes():
+    # a nilpotent uncontrollable block of order k scatters its computed
+    # eigenvalues up to about ||block|| eps^(1/k); they still count as zero
+    rng = np.random.default_rng(4343)
+    for _ in range(200):
+        A, B, _ = _rotated_planted_pair(rng, nilpotent=True)
+        assert check_condition2(_neutral_pair(A, B)).passed
+
+
+@st.composite
+def _integer_pairs(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(-2, 2), min_size=n * (n + m), max_size=n * (n + m))
+    M = np.array(draw(entries), dtype=float).reshape(n, n + m)
+    return M[:, :n], M[:, n:]
+
+
+def _same_mus(a, b):
+    close = lambda x, ys: any(abs(x - y) <= 1e-6 * (1 + abs(x)) for y in ys)
+    return all(close(x, b) for x in a) and all(close(y, a) for y in b)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_integer_pairs(), st.integers(0, 2**32 - 1))
+def test_condition2_invariant_under_similarity_and_feedback(pair, seed):
+    A, B = pair
+    n, m = B.shape
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    F = rng.integers(-2, 3, size=(m, n)).astype(float)
+    base = check_condition2(_neutral_pair(A, B))
+    for A2, B2 in ((Q @ A @ Q.T, Q @ B), (A + B @ F, B)):
+        other = check_condition2(_neutral_pair(A2, B2))
+        assert other.passed == base.passed
+        assert _same_mus([w.lam for w in base.witnesses], [w.lam for w in other.witnesses])
 
 
 def test_condition1_example3(ex3):

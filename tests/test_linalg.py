@@ -3,10 +3,10 @@ import pytest
 
 from conftest import random_pair
 from neutralctl import (
+    NeutralSystem,
     UnstabilizableMode,
+    check_condition2,
     controllable_staircase,
-    eigen_rank_test,
-    inclusion_rank_test,
     kalman_matrix,
     numerical_rank,
     pole_place_nonzero,
@@ -64,46 +64,48 @@ def test_kalman_example4_dual_pair():
     assert np.array_equal(K, [[1.0, 0.0], [0.0, -1.0]])
 
 
+def _uncontrollable_mus(A, B):
+    return [mu for mu, _ in controllable_staircase(A, B).uncontrollable_modes()]
+
+
+# Condition 2, named as the Kalman-image inclusion and as the eigenvalue
+# test, on the staircase that decides it.
 def test_inclusion_test_full_rank_input():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((4, 4))
-    assert inclusion_rank_test(A, np.eye(4)).passed
+    assert _uncontrollable_mus(A, np.eye(4)) == []
 
 
 def test_inclusion_test_example5_pair():
-    res = inclusion_rank_test(np.diag([1.0, 0.0]), np.array([[1.0], [0.0]]))
-    assert res.passed
-    assert res.reports[0].rank == 1 and res.reports[1].rank == 1
+    st = controllable_staircase(np.diag([1.0, 0.0]), np.array([[1.0], [0.0]]))
+    assert st.uncontrollable_modes() == []
+    assert st.n_controllable == 1  # the rank of the Kalman matrix
 
 
 def test_inclusion_test_no_input():
-    assert not inclusion_rank_test(np.diag([1.0, 0.0]), np.zeros((2, 1))).passed
+    assert _uncontrollable_mus(np.diag([1.0, 0.0]), np.zeros((2, 1))) == [1.0]
 
 
 def test_eigen_test_example5_pair():
-    assert eigen_rank_test(np.diag([1.0, 0.0]), np.array([[1.0], [0.0]])).passed
+    assert _uncontrollable_mus(np.diag([1.0, 0.0]), np.array([[1.0], [0.0]])) == []
 
 
 def test_eigen_test_witness():
-    res = eigen_rank_test(np.diag([1.0, 0.0]), np.zeros((2, 1)))
+    A = np.diag([1.0, 0.0])
+    sys_ = NeutralSystem(n=2, m=1, p=0, A_minus1=A, A0=np.zeros((2, 2)),
+                         A1=np.zeros((2, 2)), B=np.zeros((2, 1)))
+    res = check_condition2(sys_)
     assert not res.passed
-    (mu, v, rank), = res.witnesses
-    assert abs(mu - 1.0) < 1e-12
-    assert rank == 1
-    M = np.hstack([mu * np.eye(2) - np.diag([1.0, 0.0]), np.zeros((2, 1))])
-    assert np.linalg.norm(v.conj() @ M) <= 1e-9 * np.linalg.norm(v)
+    (w,) = res.witnesses
+    assert abs(w.lam - 1.0) < 1e-12
+    assert w.rank_found == 1
+    M = np.hstack([w.lam * np.eye(2) - A, np.zeros((2, 1))])
+    assert np.linalg.norm(w.null_vector.conj() @ M) <= 1e-9 * np.linalg.norm(w.null_vector)
 
 
 def test_eigen_test_nilpotent_vacuous():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert eigen_rank_test(A, np.zeros((2, 1))).passed
-
-
-def test_rank_test_equivalence_random():
-    rng = np.random.default_rng(2024)
-    for _ in range(250):
-        A, B = random_pair(rng)
-        assert inclusion_rank_test(A, B).passed == eigen_rank_test(A, B).passed
+    assert _uncontrollable_mus(A, np.zeros((2, 1))) == []
 
 
 def test_rank_feedback_invariance():
@@ -123,13 +125,14 @@ def test_rank_feedback_invariance():
 def test_staircase_controllable_pair():
     st = controllable_staircase(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
     assert st.n_controllable == 2
-    assert st.uncontrollable_eigenvalues.size == 0
+    assert st.uncontrollable_modes() == []
 
 
 def test_staircase_example5_pair():
     st = controllable_staircase(np.diag([1.0, 0.0]), np.array([[1.0], [0.0]]))
     assert st.n_controllable == 1
-    assert np.allclose(sorted(np.abs(st.uncontrollable_eigenvalues)), [0.0])
+    assert np.allclose(np.linalg.eigvals(st.A_t[1:, 1:]), [0.0])
+    assert st.uncontrollable_modes() == []
     # the controllable block carries the eigenvalue 1
     assert abs(st.A_t[0, 0] - 1.0) < 1e-12
 

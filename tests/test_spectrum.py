@@ -221,6 +221,13 @@ def test_find_roots_conjugate_symmetry(ex5):
     assert lams == mirrored
 
 
+def test_find_roots_vertical_chain_in_increasing_im(ex5):
+    # every root of ex5 lies on Re = 0; rounding noise in Re must not order them
+    ims = [r.lam.imag for r in find_roots(ex5, default_region(ex5))]
+    assert len(ims) == 21
+    assert ims == sorted(ims)
+
+
 def test_find_roots_sum_matches_count(ex5):
     region = SpectrumRegion(-1, 1, -15, 15)
     roots = find_roots(ex5, region)
