@@ -108,6 +108,21 @@ def test_eigen_test_nilpotent_vacuous():
     assert _uncontrollable_mus(A, np.zeros((2, 1))) == []
 
 
+def test_rank_test_equivalence_random():
+    # the staircase's condition 2 against Im A^n inside Im [B, AB, ..., A^(n-1) B],
+    # decided from two SVD ranks with no eigenvalue computation
+    rng = np.random.default_rng(2024)
+    for _ in range(250):
+        A, B = random_pair(rng)
+        n, m = A.shape[0], B.shape[1]
+        K = kalman_matrix(A, B)
+        inclusion = (numerical_rank(K).rank
+                     == numerical_rank(np.hstack([K, np.linalg.matrix_power(A, n)])).rank)
+        sys_ = NeutralSystem(n=n, m=m, p=0, A_minus1=A, A0=np.zeros((n, n)),
+                             A1=np.zeros((n, n)), B=B)
+        assert check_condition2(sys_).passed == inclusion
+
+
 def test_rank_feedback_invariance():
     # rank [mu I - A - B F, B] never depends on F
     rng = np.random.default_rng(11)
