@@ -95,9 +95,12 @@ def check_condition2(sys: NeutralSystem, tol_rank: float = DEFAULT_RANK_TOL) -> 
 
     Decided by the orthogonal controllability staircase of (A_minus1, B): the
     condition holds when its uncontrollable block is nilpotent, to the rank
-    tolerance.  Each nonzero eigenvalue mu of that block is a witness, with a
-    vector v such that v^H [mu I - A_minus1, B] = 0 by construction;
-    rank_found is the numerical rank of [mu I - A_minus1, B].
+    tolerance: its zero eigenvalue is deflated first, and each nonzero
+    eigenvalue mu left is a witness, with a vector v such that
+    v^H [mu I - A_minus1, B] = 0 by construction; rank_found is the
+    numerical rank of [mu I - A_minus1, B].  B is ranked against its own
+    norm, so the verdict does not depend on the units of the input; B = 0
+    leaves every nonzero eigenvalue of A_minus1 a witness.
     """
     st = controllable_staircase(sys.A_minus1, sys.B, tol_rank)
     witnesses = tuple(

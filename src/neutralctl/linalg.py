@@ -116,6 +116,8 @@ class Staircase:
     Q^T A Q has the controllable block of size n_controllable leading and a
     zero block below it; Q^T B is zero outside the leading rows.  The
     eigenvalues of the trailing block are exactly the uncontrollable modes.
+    rank_cutoff is the singular value at or below which a block of A counted
+    as zero; B's own block is ranked against rank_cutoff * ||B||_F.
     """
 
     Q: np.ndarray
@@ -123,29 +125,45 @@ class Staircase:
     n_controllable: int
     A_t: np.ndarray
     B_t: np.ndarray
+    rank_cutoff: float
 
     def uncontrollable_modes(self) -> list[tuple[complex, np.ndarray]]:
         """(mu, v) for each distinct nonzero eigenvalue mu of the trailing
         block, sorted by (Re, Im), with v^H [mu I - A, B] = 0.
 
-        v = Q[:, r:] conj(y) for a unit eigenvector y of the trailing block's
-        transpose, so the identity holds by construction and ||v|| = 1.  A
-        nilpotent block of order k scatters its computed eigenvalues up to
-        about ||block|| eps^(1/k), so mu counts as zero up to the larger of
-        zero_eig_cutoff(A) and deadbeat_zero_cutoff(block).
+        The zero eigenvalue is deflated first (Kublanovskaya; Van Dooren,
+        LAA 27, 1981): while the block T has singular values at or below
+        rank_cutoff, its null vectors are rotated to the front, giving
+        [[0, X], [0, T2]], and the search goes on in T2.  What remains has
+        no eigenvalue of modulus <= rank_cutoff, so all its eigenvalues are
+        modes, however non-normal the block.  A nilpotent block deflates to
+        nothing, although its computed eigenvalues scatter up to about
+        ||T|| eps^(1/k).  v = P conj(y) for a unit eigenvector y of the last
+        block's transpose and P the orthonormal basis of that block, so the
+        identity holds by construction and ||v|| = 1.
         """
         r = self.n_controllable
         if r == self.A_t.shape[0]:
             return []
+        P = self.Q[:, r:]
         T = self.A_t[r:, r:]
+        while T.size:
+            _, s, Vh = np.linalg.svd(T)
+            k = int(np.count_nonzero(s > self.rank_cutoff))
+            if k == T.shape[0]:
+                break
+            V = Vh[:k].T
+            T = V.T @ T @ V
+            P = P @ V
+        if not T.size:
+            return []
         mus, Y = np.linalg.eig(T.T)
-        zcut = max(zero_eig_cutoff(self.A_t), deadbeat_zero_cutoff(T))
         modes = []
         for i in sorted(range(mus.size), key=lambda i: (mus[i].real, mus[i].imag)):
             mu = complex(mus[i])
-            if abs(mu) <= zcut or any(abs(mu - s) <= 1e-12 * (1.0 + abs(mu)) for s, _ in modes):
+            if any(abs(mu - s) <= 1e-12 * (1.0 + abs(mu)) for s, _ in modes):
                 continue
-            modes.append((mu, self.Q[:, r:] @ np.conj(Y[:, i])))
+            modes.append((mu, P @ np.conj(Y[:, i])))
         return modes
 
 
@@ -153,24 +171,26 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
     """Orthogonal similarity splitting (A, B) into controllable and
     uncontrollable blocks by repeated SVDs of the sub-input blocks.
 
-    Every block is ranked against one cutoff, tol * ||[A, B]||_F * (n + m),
-    set by the scale of the whole pair: a block that is zero up to rounding
-    of the pair's entries has rank 0, however small its own largest singular
-    value.
+    Every block is ranked against one cutoff, tol * ||[A, B / ||B||_F]||_F
+    * (n + m), set by the scale of the whole pair with B taken at unit norm:
+    a block that is zero up to rounding of the pair's entries has rank 0,
+    however small its own largest singular value, and the verdict does not
+    depend on the units of the input.  B = 0 has rank 0.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
-    cutoff = tol * math.hypot(np.linalg.norm(A), np.linalg.norm(B)) * (n + m)
+    cutoff = tol * math.hypot(np.linalg.norm(A), 1.0) * (n + m)
     Q = np.eye(n)
     A_t = A.copy()
     B_t = B.copy()
     sizes = []
     row0 = 0
     blk = B_t
+    blk_scale = float(np.linalg.norm(B))
     while row0 < n:
         U, s, _ = np.linalg.svd(blk)
-        r = int(np.count_nonzero(s > cutoff))
+        r = int(np.count_nonzero(s > cutoff * blk_scale))
         if r == 0:
             break
         Qk = np.eye(n)
@@ -184,12 +204,14 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
         if row0 >= n:
             break
         blk = A_t[row0:, prev:row0]
+        blk_scale = 1.0
     return Staircase(
         Q=Q,
         block_sizes=tuple(sizes),
         n_controllable=row0,
         A_t=A_t,
         B_t=B_t,
+        rank_cutoff=cutoff,
     )
 
 

@@ -138,6 +138,16 @@ def kernel_file(tmp_path):
     return path
 
 
+def neutral_pair(A, B):
+    """The neutral system with coefficient A_minus1 = A, input B and no delay
+    or kernel terms: condition 2 of it is a question about the pair (A, B)."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n = A.shape[0]
+    return NeutralSystem(n=n, m=B.shape[1], p=0, A_minus1=A, A0=np.zeros((n, n)),
+                         A1=np.zeros((n, n)), B=B)
+
+
 def random_pair(rng, n_max=6, m_max=3):
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(1, m_max + 1))

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
+from conftest import neutral_pair
 import neutralctl as nc
 from neutralctl.cli import main as cli_main
 
@@ -163,10 +164,7 @@ def test_criterion_06_rank_test_equivalence(capfd, ):
             m = int(rng.integers(1, 4))
             A = rng.integers(-2, 3, size=(n, n))
             B = rng.integers(-2, 3, size=(n, m))
-            sys_ = nc.NeutralSystem(n=n, m=m, p=0, A_minus1=A.astype(float),
-                                    A0=np.zeros((n, n)), A1=np.zeros((n, n)),
-                                    B=B.astype(float))
-            if nc.check_condition2(sys_).passed == _exact_kalman_inclusion(A.tolist(), B.tolist()):
+            if nc.check_condition2(neutral_pair(A, B)).passed == _exact_kalman_inclusion(A.tolist(), B.tolist()):
                 agree += 1
         assert agree == 1000
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import neutral_pair
 from neutralctl import (
     NeutralSystem,
     NoOutputError,
@@ -40,17 +41,11 @@ def test_condition2_immovable_chain():
     assert any(abs(w.lam - 1.0) < 1e-9 for w in res.witnesses)
 
 
-def _neutral_pair(A, B):
-    n = A.shape[0]
-    return NeutralSystem(n=n, m=B.shape[1], p=0, A_minus1=A, A0=np.zeros((n, n)),
-                         A1=np.zeros((n, n)), B=B)
-
-
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_condition2_distinct_diagonal_is_controllable(n):
     # the Kalman matrix of this controllable pair is an ill-conditioned
     # Vandermonde matrix; the staircase does not form it
-    res = check_condition2(_neutral_pair(np.diag(np.linspace(1.1, 2.0, n)), np.ones((n, 1))))
+    res = check_condition2(neutral_pair(np.diag(np.linspace(1.1, 2.0, n)), np.ones((n, 1))))
     assert res.passed and res.witnesses == ()
 
 
@@ -77,7 +72,7 @@ def test_condition2_rotated_planted_block():
     for _ in range(300):
         A, B, planted = _rotated_planted_pair(rng, nilpotent=False)
         n = A.shape[0]
-        res = check_condition2(_neutral_pair(A, B))
+        res = check_condition2(neutral_pair(A, B))
         assert not res.passed
         for mu in planted:
             (w,) = [w for w in res.witnesses if abs(w.lam - mu) <= 1e-6 * (1 + abs(mu))]
@@ -95,11 +90,59 @@ def test_condition2_rotated_planted_block():
 
 def test_condition2_rotated_nilpotent_block_passes():
     # a nilpotent uncontrollable block of order k scatters its computed
-    # eigenvalues up to about ||block|| eps^(1/k); they still count as zero
+    # eigenvalues up to about ||block|| eps^(1/k); deflation still finds k zeros
     rng = np.random.default_rng(4343)
     for _ in range(200):
         A, B, _ = _rotated_planted_pair(rng, nilpotent=True)
-        assert check_condition2(_neutral_pair(A, B)).passed
+        assert check_condition2(neutral_pair(A, B)).passed
+
+
+def _only_witness(res, mu, A, B):
+    assert not res.passed
+    (w,) = res.witnesses
+    assert abs(w.lam - mu) <= 1e-12
+    M = np.hstack([w.lam * np.eye(A.shape[0]) - A, B])
+    assert np.linalg.norm(w.null_vector.conj() @ M) <= 1e-12 * np.linalg.norm(w.null_vector)
+
+
+def test_condition2_small_mode_of_non_normal_block():
+    # a well-conditioned eigenvalue 0.05 beside seven semisimple zeros: below
+    # the scatter 8 ||A|| eps^(1/8) of a nilpotent block of order 8, yet no zero
+    A = np.zeros((8, 8))
+    A[0, 0], A[0, 1] = 0.05, 1.0
+    B = np.zeros((8, 1))
+    _only_witness(check_condition2(neutral_pair(A, B)), 0.05, A, B)
+    with pytest.raises(UnstabilizableMode):
+        pole_place_nonzero(A, B, 0.01)
+
+
+def test_condition2_keeps_every_mode_beside_zeros():
+    A = np.diag([1.0, 0.2] + [0.0] * 10)
+    res = check_condition2(neutral_pair(A, np.zeros((12, 1))))
+    assert np.allclose([w.lam for w in res.witnesses], [0.2, 1.0], rtol=0, atol=1e-12)
+
+
+def test_condition2_small_mode_beside_rotated_jordan_chain():
+    # a Jordan chain at zero of order 8 scatters the eigenvalues computed from
+    # the whole block to about 0.01, past the mode 0.005 beside it, so no
+    # modulus rule can tell them apart; deflating the zeros first recovers it
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        A = np.diag(np.r_[np.zeros(8), 0.005]) + np.diag(np.r_[np.ones(7), 0.0], 1)
+        Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        A = Q @ A @ Q.T
+        _only_witness(check_condition2(neutral_pair(A, np.zeros((9, 1)))), 0.005, A,
+                      np.zeros((9, 1)))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0, 1e10])
+def test_condition2_does_not_depend_on_input_units(scale):
+    # the input is ranked against its own norm: a weak input is still present
+    A = np.diag([1.1, 2.0])
+    assert check_condition2(neutral_pair(A, scale * np.ones((2, 1)))).passed
+    # ... and a weak input still cannot reach a mode it has no component on
+    res = check_condition2(neutral_pair(A, scale * np.array([[1.0], [0.0]])))
+    assert [w.lam for w in res.witnesses] == [2.0]
 
 
 @st.composite
@@ -124,9 +167,9 @@ def test_condition2_invariant_under_similarity_and_feedback(pair, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     F = rng.integers(-2, 3, size=(m, n)).astype(float)
-    base = check_condition2(_neutral_pair(A, B))
+    base = check_condition2(neutral_pair(A, B))
     for A2, B2 in ((Q @ A @ Q.T, Q @ B), (A + B @ F, B)):
-        other = check_condition2(_neutral_pair(A2, B2))
+        other = check_condition2(neutral_pair(A2, B2))
         assert other.passed == base.passed
         assert _same_mus([w.lam for w in base.witnesses], [w.lam for w in other.witnesses])
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_pair
+from conftest import neutral_pair, random_pair
 from neutralctl import (
-    NeutralSystem,
     UnstabilizableMode,
     check_condition2,
     controllable_staircase,
@@ -92,9 +91,7 @@ def test_eigen_test_example5_pair():
 
 def test_eigen_test_witness():
     A = np.diag([1.0, 0.0])
-    sys_ = NeutralSystem(n=2, m=1, p=0, A_minus1=A, A0=np.zeros((2, 2)),
-                         A1=np.zeros((2, 2)), B=np.zeros((2, 1)))
-    res = check_condition2(sys_)
+    res = check_condition2(neutral_pair(A, np.zeros((2, 1))))
     assert not res.passed
     (w,) = res.witnesses
     assert abs(w.lam - 1.0) < 1e-12
@@ -114,13 +111,11 @@ def test_rank_test_equivalence_random():
     rng = np.random.default_rng(2024)
     for _ in range(250):
         A, B = random_pair(rng)
-        n, m = A.shape[0], B.shape[1]
+        n = A.shape[0]
         K = kalman_matrix(A, B)
         inclusion = (numerical_rank(K).rank
                      == numerical_rank(np.hstack([K, np.linalg.matrix_power(A, n)])).rank)
-        sys_ = NeutralSystem(n=n, m=m, p=0, A_minus1=A, A0=np.zeros((n, n)),
-                             A1=np.zeros((n, n)), B=B)
-        assert check_condition2(sys_).passed == inclusion
+        assert check_condition2(neutral_pair(A, B)).passed == inclusion
 
 
 def test_rank_feedback_invariance():
