@@ -138,33 +138,53 @@ class Staircase:
         no eigenvalue of modulus <= rank_cutoff, so all its eigenvalues are
         modes, however non-normal the block.  A nilpotent block deflates to
         nothing, although its computed eigenvalues scatter up to about
-        ||T|| eps^(1/k).  v = P conj(y) for a unit eigenvector y of the last
-        block's transpose and P the orthonormal basis of that block, so the
-        identity holds by construction and ||v|| = 1.
+        ||T|| eps^(1/k).  A defective nonzero mode scatters the same way, so
+        its computed copies are gathered by the same step: the j computed
+        eigenvalues nearest the first one left form one mode, at their mean
+        mu, for the largest j such that T - mu I deflates at least j times.
+        For a simple mode v = P conj(y), with y a unit eigenvector of the
+        last block's transpose and P the orthonormal basis of that block, so
+        the identity holds by construction and ||v|| = 1; for a gathered
+        mode y is the left singular vector of T - mu I for its smallest
+        singular value, and the identity holds up to rank_cutoff.
         """
         r = self.n_controllable
         if r == self.A_t.shape[0]:
             return []
-        P = self.Q[:, r:]
-        T = self.A_t[r:, r:]
-        while T.size:
-            _, s, Vh = np.linalg.svd(T)
-            k = int(np.count_nonzero(s > self.rank_cutoff))
-            if k == T.shape[0]:
-                break
-            V = Vh[:k].T
-            T = V.T @ T @ V
-            P = P @ V
+        T, P = _deflate(self.A_t[r:, r:], self.Q[:, r:], self.rank_cutoff)
         if not T.size:
             return []
         mus, Y = np.linalg.eig(T.T)
+        eye = np.eye(T.shape[0])
+        left = sorted(range(mus.size), key=lambda i: (mus[i].real, mus[i].imag))
         modes = []
-        for i in sorted(range(mus.size), key=lambda i: (mus[i].real, mus[i].imag)):
-            mu = complex(mus[i])
-            if any(abs(mu - s) <= 1e-12 * (1.0 + abs(mu)) for s, _ in modes):
-                continue
-            modes.append((mu, P @ np.conj(Y[:, i])))
-        return modes
+        while left:
+            near = sorted(left, key=lambda j: abs(mus[j] - mus[left[0]]))
+            # the largest passing j, not the first failing one: the mean of
+            # three of a Jordan block's four copies is farther off than all four
+            size = next(j for j in range(len(near), 0, -1) if j == 1 or len(
+                _deflate(T - mus[near[:j]].mean() * eye, eye, self.rank_cutoff)[0]) <= len(T) - j)
+            group = near[:size]
+            mu = complex(mus[group].mean())
+            y = np.conj(Y[:, group[0]]) if size == 1 else np.linalg.svd(T - mu * eye)[0][:, -1]
+            modes.append((mu, P @ y))
+            left = [j for j in left if j not in group]
+        return sorted(modes, key=lambda mode: (mode[0].real, mode[0].imag))
+
+
+def _deflate(T, P, cutoff):
+    # while T has singular values at or below cutoff, rotate its null vectors
+    # to the front ([[0, X], [0, T2]]) and go on in T2; returns the last T2
+    # and the matching columns of the basis P
+    while T.size:
+        _, s, Vh = np.linalg.svd(T)
+        k = int(np.count_nonzero(s > cutoff))
+        if k == T.shape[0]:
+            break
+        V = Vh[:k].conj().T
+        T = V.conj().T @ T @ V
+        P = P @ V
+    return T, P
 
 
 def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:

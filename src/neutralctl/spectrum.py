@@ -14,8 +14,11 @@ the centroid of a leaf's zeros (the first contour moment, taken on the same
 quadrature nodes).  Only the outer contour of a search is hash-perturbed, and
 it is integrated once; each sub-rectangle reuses its parent's edge panels and
 adds one cut line, which gets the same edge-local vanishing-determinant check
-as every edge.  Each
-nonzero eigenvalue mu of A_minus1 generates a vertical chain of eigenvalues
+as every edge.  Every coefficient is real, so det D(conj lambda) =
+conj det D(lambda): a contour symmetric about the real axis is integrated on
+its lower half and mirrored, and find_roots searches only above a cut just
+below the real axis and reflects what it finds there.  Each nonzero
+eigenvalue mu of A_minus1 generates a vertical chain of eigenvalues
 approaching ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,6 +66,8 @@ _SERIES_CUT = 1e-4
 _NEWTON_DIAM = 2.0
 _MIN_LEAF = 1e-10
 _SPLIT_FRACTIONS = (0.5, 0.375, 0.625, 0.4375, 0.5625, 0.34375, 0.65625, 0.40625, 0.59375)
+# find_roots searches above Im = -delta for the first of these that cuts cleanly
+_HALF_CUTS = (0.37, 0.29, 0.45)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
@@ -135,7 +140,11 @@ class SpectrumRegion:
 
 @dataclass(frozen=True)
 class Root:
-    """Located zero of det D with its isolating-count multiplicity."""
+    """Located zero of det D with its isolating-count multiplicity.
+
+    find_roots reports a root below the real axis as the exact conjugate of
+    one above it, with that root's residual and newton_iterations.
+    """
 
     lam: complex
     multiplicity: int
@@ -386,12 +395,14 @@ def _count_of(W):
 
 def _inflate(rect):
     # Deterministic pseudo-random inflation by 1e-6 .. 1e-4 of the size per
-    # side.  The key's trailing 0 fixes where every contour lies, and with it
-    # the root digits and the work counts.
+    # side, one factor for both imaginary sides, so that a window symmetric
+    # about the real axis keeps a symmetric contour.  The key's trailing 0
+    # fixes where every contour lies, and with it the root digits and the
+    # work counts.
     key = repr((rect.re_min, rect.re_max, rect.im_min, rect.im_max, 0)).encode()
     digest = hashlib.sha256(key).digest()
     fs = []
-    for i in range(4):
+    for i in range(3):
         u = int.from_bytes(digest[8 * i : 8 * i + 8], "big") / 2.0**64
         fs.append(1e-6 * (100.0**u))
     w, h = rect.width, rect.height
@@ -399,16 +410,36 @@ def _inflate(rect):
         rect.re_min - fs[0] * w,
         rect.re_max + fs[1] * w,
         rect.im_min - fs[2] * h,
-        rect.im_max + fs[3] * h,
+        rect.im_max + fs[2] * h,
     )
+
+
+def _mirror_half(half):
+    # A south-to-north side of a real-symmetric contour from its lower half:
+    # det D(conj z) = conj det D(z), so the upper half's panels are the lower
+    # ones in reverse order with the integrals -conj(val)
+    t = np.concatenate([0.5 * half.t, 1.0 - 0.5 * half.t[-2::-1]])
+    val = np.concatenate([half.val, -half.val[::-1].conj()])
+    return _Side(t, val, np.concatenate([half.mag, half.mag[::-1]]))
 
 
 def _outer_contour(sys, region):
     # (count, contour rectangle, its four sides) on the inflated copy of the
-    # region, integrated once
+    # region, integrated once.  On a window symmetric about the real axis
+    # only the bottom edge, first, and the lower halves of the vertical
+    # sides are integrated; the top edge mirrors the bottom, val conj(val).
     rect = _inflate(region)
     ends = _side_ends(rect)
-    edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in ends]
+    if region.im_min == -region.im_max:
+        sw, se = ends[0]
+        (bottom, mb), (right, mr), (left, ml) = [
+            _adaptive_edge(sys, z0, z1)
+            for z0, z1 in ((sw, se), (se, complex(se.real, 0.0)), (sw, complex(sw.real, 0.0)))
+        ]
+        top = _Side(bottom.t, bottom.val.conj(), bottom.mag)
+        edges = [(bottom, mb), (_mirror_half(right), mr), (top, mb), (_mirror_half(left), ml)]
+    else:
+        edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in ends]
     sides = [side for side, _ in edges]
     # cross-edge floor: the smallest |det| of any side against the largest median
     lows = [float(np.min(side.mag)) for side in sides]
@@ -431,15 +462,19 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
 
     The winding number of det D over the boundary is integrated by adaptive
     Gauss-Legendre panels until it lies within 0.25 of an integer.  The
-    contour is always a copy of the rectangle inflated by a deterministic
-    pseudo-random factor in [1e-6, 1e-4] of its size; a zero exactly on the
-    requested boundary would otherwise contribute a half winding (an integer
-    for even multiplicities, hence undetectable).  The contour is integrated
-    once: a det that vanishes or is not finite on it raises
-    ContourThroughZero, and panels that do not settle raise
-    QuadratureNotConverged, each naming the edge.  Only this outer contour
-    is perturbed: find_roots counts the sub-rectangles of its search on
-    their parent's panels plus one cut line each, not through this function.
+    contour is always a copy of the rectangle inflated by deterministic
+    pseudo-random factors in [1e-6, 1e-4] of its size, one for both
+    imaginary sides, so that symmetry about the real axis is kept; a zero
+    exactly on the requested boundary would otherwise contribute a half
+    winding (an integer for even multiplicities, hence undetectable).  The
+    contour is integrated once: a det that vanishes or is not finite on it
+    raises ContourThroughZero, and panels that do not settle raise
+    QuadratureNotConverged, each naming the edge.  On a rectangle symmetric
+    about the real axis only the bottom edge and the lower halves of the
+    vertical sides are integrated; the rest is their mirror image, since
+    det D(conj lambda) = conj det D(lambda).  Only this outer contour is
+    perturbed: find_roots counts the sub-rectangles of its search on their
+    parent's panels plus one cut line each, not through this function.
     """
     return _outer_contour(sys, region)[0]
 
@@ -511,6 +546,10 @@ def _newton_cluster(sys, rect, count, sides, tol):
         except SpectrumError:
             continue
         if got == count:
+            # a non-real zero's conjugate is another zero, which would double
+            # the count if it lay in this square too: such a root is real
+            if 2.0 * abs(lam.imag) < iso:
+                lam = complex(lam.real, 0.0)
             return Root(lam=lam, multiplicity=count, residual=res, newton_iterations=iterations)
     return None
 
@@ -535,16 +574,19 @@ def _slice(sys, side, z0, z1, c):
     return _Side(lo_t, val[:i], mag[:i]), _Side(hi_t, val[i:], mag[i:])
 
 
-def _split(sys, rect, sides):
-    # Cut the longer extent at the first fraction whose cut line integrates
-    # cleanly and leaves both children with integer windings.  The children
-    # reuse the parent's sides, sliced at the cut, and share the cut line
-    # with opposite orientations, so their counts add up to the parent's by
-    # construction; the final RootAccountingError check guards the total.
+def _split(sys, rect, sides, vertical=None, fracs=_SPLIT_FRACTIONS):
+    # Cut the rectangle at the first fraction whose cut line integrates
+    # cleanly and leaves both children with integer windings: a horizontal
+    # line when vertical, by default when the rectangle is at least as tall
+    # as it is wide.  The children reuse the parent's sides, sliced at the
+    # cut, and share the cut line with opposite orientations, so their
+    # counts add up to the parent's by construction; the RootAccountingError
+    # checks of find_roots guard the totals.
     bottom, right, top, left = sides
     (sw, se), (_, ne), (nw, _), _ = _side_ends(rect)
-    vertical = rect.height >= rect.width  # split the longer extent
-    for frac in _SPLIT_FRACTIONS:
+    if vertical is None:
+        vertical = rect.height >= rect.width
+    for frac in fracs:
         try:
             if vertical:
                 y = rect.im_min + frac * rect.height
@@ -572,30 +614,10 @@ def _split(sys, rect, sides):
     )
 
 
-def _conjugate_close(roots):
-    out = []
-    for r in roots:
-        lam = r.lam
-        if abs(lam.imag) <= 1e-9 * (1.0 + abs(lam)):
-            lam = complex(lam.real, 0.0)
-        out.append(Root(lam, r.multiplicity, r.residual, r.newton_iterations))
-    pos = [r for r in out if r.lam.imag > 0]
-    neg = {id(r): r for r in out if r.lam.imag < 0}
-    replace = {}
-    for rp in pos:
-        best = None
-        best_d = math.inf
-        for rid, rn in neg.items():
-            d = abs(rn.lam - rp.lam.conjugate())
-            if d < best_d:
-                best, best_d = rid, d
-        if best is not None and best_d <= 1e-6 * (1.0 + abs(rp.lam)):
-            rn = neg.pop(best)
-            if rn.multiplicity == rp.multiplicity:
-                replace[id(rn)] = Root(
-                    rp.lam.conjugate(), rn.multiplicity, rn.residual, rn.newton_iterations
-                )
-    return [replace.get(id(r), r) for r in out]
+def _check_sum(roots, count, what):
+    got = sum(r.multiplicity for r in roots)
+    if got != count:
+        raise RootAccountingError(f"refined multiplicities sum to {got}, {what} count is {count}")
 
 
 def find_roots(
@@ -605,36 +627,47 @@ def find_roots(
 ) -> list[Root]:
     """All zeros of det D in the region, refined to residual <= tol.
 
-    The region is symmetrized about the real axis first; the result is
-    sorted by (Re rounded to 9 decimals, Im), closed under conjugation, and
-    its multiplicities sum to the argument-principle count of the whole
-    region.
+    The region is symmetrized about the real axis, whose mirror image maps
+    the zeros onto themselves: the outer contour is integrated on its lower
+    half, one cut at Im = -delta (the first of _HALF_CUTS that cuts cleanly,
+    times top / 2 when top < 2) splits it, and only the upper child
+    [re_min, re_max] x [-delta, top] is searched.  A root whose conjugate
+    lies in its isolating square is put on the axis and reported once, a
+    root above it is reported with its exact conjugate (same
+    residual and newton_iterations), and a root below it, the conjugate of
+    one above, is dropped.  RootAccountingError is raised unless the upper
+    child's roots add up to its count and the reported roots to the whole
+    region's.  The result is sorted by (Re rounded to 9 decimals, Im) and is
+    closed under conjugation bit for bit.
     """
     region = region.symmetrized()
     total, rect, sides = _outer_contour(sys, region)
-    roots: list[Root] = []
+    if not total:
+        return []
+    scale = min(1.0, 0.5 * rect.im_max)
+    fracs = [0.5 - d * scale / rect.height for d in _HALF_CUTS]
+    _, (rect, upper, sides) = _split(sys, rect, sides, vertical=True, fracs=fracs)
+    found: list[Root] = []
     # depth first, so that only one path of the tree and its siblings hold
     # their side panels at a time
-    stack = [(rect, total, sides)] if total else []
+    stack = [(rect, upper, sides)] if upper else []
     while stack:
         rect, count, sides = stack.pop()
         if math.hypot(rect.width, rect.height) <= _NEWTON_DIAM:
             root = _newton_cluster(sys, rect, count, sides, tol)
             if root is not None:
-                roots.append(root)
+                found.append(root)
                 continue
         if max(rect.width, rect.height) < _MIN_LEAF:
             raise MaxDepthExceeded(f"leaf {rect} below {_MIN_LEAF} still holds {count} zeros")
         stack.extend(kid for kid in reversed(_split(sys, rect, sides)) if kid[1])
-    roots = _conjugate_close(roots)
+    _check_sum(found, upper, "upper half")
+    roots = [r for r in found if r.lam.imag >= 0.0]
+    roots += [replace(r, lam=r.lam.conjugate()) for r in roots if r.lam.imag > 0.0]
     # Re rounded at a fixed scale, so that rounding noise in the real parts
     # of a vertical chain does not decide its order
     roots.sort(key=lambda r: (round(r.lam.real, 9), r.lam.imag))
-    if sum(r.multiplicity for r in roots) != total:
-        raise RootAccountingError(
-            f"refined multiplicities sum to {sum(r.multiplicity for r in roots)}, "
-            f"region count is {total}"
-        )
+    _check_sum(roots, total, "region")
     return roots
 
 

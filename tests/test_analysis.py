@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import neutral_pair
+from neutralctl.spectrum import SpectrumError
 from neutralctl import (
+    KernelSegment,
     NeutralSystem,
     NoOutputError,
     UnstabilizableMode,
@@ -174,6 +176,21 @@ def test_condition2_invariant_under_similarity_and_feedback(pair, seed):
         assert _same_mus([w.lam for w in base.witnesses], [w.lam for w in other.witnesses])
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_condition2_defective_mode_is_one_witness(order):
+    # a rotated Jordan block at 2: the eigensolver returns `order` copies
+    # split by about 2 eps^(1/order), some of them complex; they are one mode
+    rng = np.random.default_rng(31)
+    J = 2.0 * np.eye(order) + np.diag(np.ones(order - 1), 1)
+    for _ in range(20):
+        Q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+        A, B = Q @ J @ Q.T, np.zeros((order, 1))
+        (w,) = check_condition2(neutral_pair(A, B)).witnesses
+        assert abs(w.lam - 2.0) <= 1e-12
+        M = np.hstack([w.lam * np.eye(order) - A, B])
+        assert np.linalg.norm(w.null_vector.conj() @ M) <= 1e-9 * np.linalg.norm(w.null_vector)
+
+
 def test_condition1_example3(ex3):
     res = check_condition1(ex3, SpectrumRegion(-2, 2, -10, 10))
     assert res.passed
@@ -319,6 +336,65 @@ def test_duality_flags_match_on_random_systems():
         assert obs.overall == ctrl.overall
         assert obs.condition1.passed == ctrl.condition1.passed
         assert obs.condition2.passed == ctrl.condition2.passed
+
+
+SMALL = SpectrumRegion(-2.0, 2.0, -3.0, 3.0)
+
+
+@st.composite
+def _small_systems(draw, with_output):
+    # entries in {-1, -0.5, 0, 0.5, 1}, sometimes with one kernel segment
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    p = draw(st.integers(1, 2)) if with_output else 0
+    halves = lambda *shape: np.reshape(draw(st.lists(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))), shape)
+    kernels = (KernelSegment(-0.5, 0.0, halves(n, n), halves(n, n)),) if draw(st.booleans()) else ()
+    return NeutralSystem(n=n, m=m, p=p, A_minus1=halves(n, n), A0=halves(n, n),
+                         A1=halves(n, n), B=halves(n, m), C=halves(p, n) if p else None,
+                         kernels=kernels)
+
+
+def _verdict_or_error(check, sys):
+    try:
+        return check(sys, SMALL)
+    except SpectrumError as e:
+        return type(e)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_small_systems(with_output=True))
+def test_observability_is_controllability_of_transpose_dual(sys):
+    obs = _verdict_or_error(check_final_observability, sys)
+    ctrl = _verdict_or_error(check_null_controllability, transpose_dual(sys))
+    if isinstance(obs, type):
+        assert obs is ctrl
+        return
+    assert (obs.overall, obs.status) == (ctrl.overall, ctrl.status)
+    for a, b in ((obs.condition1, ctrl.condition1), (obs.condition2, ctrl.condition2)):
+        assert a.passed == b.passed
+        assert [w.lam for w in a.witnesses] == [w.lam for w in b.witnesses]
+        for wa, wb in zip(a.witnesses, b.witnesses):
+            assert np.array_equal(wa.null_vector, np.conj(wb.null_vector))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(_small_systems(with_output=False), st.integers(0, 2**32 - 1))
+def test_condition1_invariant_under_real_similarity(sys, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((sys.n, sys.n)))
+    sim = lambda M: Q @ M @ Q.T
+    rotated = NeutralSystem(
+        n=sys.n, m=sys.m, p=0, A_minus1=sim(sys.A_minus1), A0=sim(sys.A0), A1=sim(sys.A1),
+        B=Q @ sys.B,
+        kernels=tuple(KernelSegment(k.a, k.b, sim(k.A2), sim(k.A3)) for k in sys.kernels),
+    )
+    base = _verdict_or_error(check_condition1, sys)
+    other = _verdict_or_error(check_condition1, rotated)
+    if isinstance(base, type):
+        assert base is other
+        return
+    assert other.passed == base.passed
+    assert _same_mus([w.lam for w in base.witnesses], [w.lam for w in other.witnesses])
 
 
 def test_similarity_invariance(ex5):

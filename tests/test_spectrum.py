@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,15 @@ from neutralctl import (
     spectral_right_bound,
 )
 from neutralctl import spectrum
-from neutralctl.spectrum import _outer_contour, _split, delta_many
+from neutralctl.spectrum import (
+    _adaptive_edge,
+    _inflate,
+    _outer_contour,
+    _side_ends,
+    _split,
+    _winding,
+    delta_many,
+)
 
 Z2 = np.zeros((2, 2))
 
@@ -285,13 +294,15 @@ def count_points(monkeypatch, name):
 
 def test_find_roots_work_bound(ex5, monkeypatch):
     # deterministic work counters of one wide search: log-derivative points
-    # (172,669 when every split recounted both children from scratch) and
+    # (172,669 when every split recounted both children from scratch, 30,021
+    # when the whole symmetric window was searched rather than its upper
+    # half) and
     # Newton's det_logderiv calls (94 when Newton started at the leaf centre)
     points = count_points(monkeypatch, "_det_logderiv_many")
     calls = count_points(monkeypatch, "det_logderiv")
     roots = find_roots(ex5, SpectrumRegion(-1, 1, -40, 40))
     assert sum(r.multiplicity for r in roots) == 15
-    assert sum(points) <= 60_000
+    assert sum(points) <= 20_000
     assert len(calls) <= 70
 
 
@@ -302,6 +313,97 @@ def test_failing_outer_contour_is_integrated_once(monkeypatch):
     with pytest.raises(ContourThroughZero, match=r"on edge \(-800\.\d+-5\.\d+j\) -> \(-699\."):
         find_roots(scalar_system(a_minus1=0.5), SpectrumRegion(-800, -700, -5, 5))
     assert sum(points) <= 2_000
+
+
+def _conjugate_closed(roots):
+    # the (Re, Im, multiplicity) set is its own mirror image, bit for bit
+    keys = sorted((r.lam.real, r.lam.imag, r.multiplicity) for r in roots)
+    return keys == sorted((re, -im, m) for re, im, m in keys)
+
+
+def test_find_roots_planted_real_double_root_and_near_real_pair():
+    # det D = (lambda - 0.5 lambda e^-lambda - 0.3) (lambda + 0.5)^2
+    # ((lambda + 0.2)^2 + 1e-6), in a rotated basis: a chain beside a real
+    # Jordan double root and a pair 1e-3 off the real axis
+    A_minus1 = np.zeros((5, 5))
+    A_minus1[0, 0] = 0.5
+    A0 = np.zeros((5, 5))
+    A0[0, 0] = 0.3
+    A0[1:3, 1:3] = [[-0.5, 1.0], [0.0, -0.5]]
+    A0[3:, 3:] = [[-0.2, 1e-3], [-1e-3, -0.2]]
+    Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((5, 5)))
+    sys = NeutralSystem(n=5, m=1, p=0, A_minus1=Q @ A_minus1 @ Q.T, A0=Q @ A0 @ Q.T,
+                        A1=np.zeros((5, 5)), B=np.ones((5, 1)))
+    region = SpectrumRegion(-2, 1, -10, 10)
+    roots = find_roots(sys, region)
+    assert _conjugate_closed(roots)
+    assert sum(r.multiplicity for r in roots) == count_zeros(sys, region)
+    (double,) = [r for r in roots if abs(r.lam + 0.5) < 1e-6]
+    assert double.multiplicity == 2 and double.lam.imag == 0.0
+    pair = sorted((r for r in roots if abs(r.lam + 0.2) < 1e-2), key=lambda r: r.lam.imag)
+    assert [r.multiplicity for r in pair] == [1, 1]
+    assert pair[0].lam == pair[1].lam.conjugate()
+    assert abs(pair[1].lam - (-0.2 + 1e-3j)) < 1e-12
+
+
+def _random_real_system(rng, n, kernels):
+    s = 1.0 / math.sqrt(n)
+    return NeutralSystem(
+        n=n, m=1, p=0,
+        A_minus1=0.5 * s * rng.standard_normal((n, n)),
+        A0=s * rng.standard_normal((n, n)),
+        A1=0.5 * s * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, 1)),
+        kernels=tuple(
+            KernelSegment(a, b, 0.3 * s * rng.standard_normal((n, n)),
+                          0.5 * s * rng.standard_normal((n, n)))
+            for a, b in ((-1.0, -0.5), (-0.5, 0.0))
+        ) if kernels else (),
+    )
+
+
+def _mp_det(sys, lam):
+    # det D(lambda) at 30 digits, from the system's float coefficients
+    M = lambda A: mpmath.matrix(np.asarray(A).tolist())
+    e = mpmath.exp(-lam)
+    D = lam * mpmath.eye(sys.n) - lam * e * M(sys.A_minus1) - M(sys.A0) - e * M(sys.A1)
+    for seg in sys.kernels:
+        c2 = mpmath.exp(lam * seg.b) - mpmath.exp(lam * seg.a)
+        D -= c2 * M(seg.A2) + (c2 / lam) * M(seg.A3)
+    return mpmath.det(D)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_find_roots_half_search_against_full_counts_and_mpmath(seed):
+    # the half search's total equals the counts of two asymmetric rectangles
+    # that split the window, integrated on all four sides with no mirror, and
+    # every root is a zero of det D at 30 digits
+    rng = np.random.default_rng([2024, seed])
+    sys = _random_real_system(rng, n=1 + seed % 4, kernels=seed % 2 == 1)
+    region = SpectrumRegion(-3, 2, -7, 7)
+    roots = find_roots(sys, region)
+    assert roots and _conjugate_closed(roots)
+    cut = 0.8137
+    halves = (SpectrumRegion(-3, 2, -7, cut), SpectrumRegion(-3, 2, cut, 7))
+    assert sum(r.multiplicity for r in roots) == sum(count_zeros(sys, h) for h in halves)
+    with mpmath.workdps(30):
+        for r in roots:
+            assert r.multiplicity == 1
+            ref = complex(mpmath.findroot(lambda z: _mp_det(sys, z), mpmath.mpc(r.lam)))
+            assert abs(r.lam - ref) <= 1e-10 * abs(ref)
+
+
+def test_mirrored_outer_contour_matches_full_integration():
+    # the winding and the s1 moment of the mirrored sides against all four
+    # sides of the same contour integrated directly
+    sys = kernel_system4()
+    region = SpectrumRegion(-4, 3, -10, 10)
+    count, rect, sides = _outer_contour(sys, region)
+    assert rect == _inflate(region) and rect.im_min == -rect.im_max
+    full = [_adaptive_edge(sys, z0, z1)[0] for z0, z1 in _side_ends(rect)]
+    mirrored, direct = _winding(sides), _winding(full)
+    assert count == round(direct[0].real) > 0
+    assert np.all(np.abs(mirrored - direct) <= 1e-8)
 
 
 def test_predict_chains_example5(ex5):
