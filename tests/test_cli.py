@@ -141,17 +141,17 @@ def test_bad_step_is_operational_error(ex3_file, tmp_path, capsys):
     assert "StepNotUnitDivisor" in capsys.readouterr().err
 
 
-def test_outputs_byte_identical_across_repeated_runs(ex5_file, kernel_file, tmp_path,
-                                                    monkeypatch):
-    # Two runs of the same commands write byte-identical artifacts.  The
-    # second run has a leftover NEUTRALCTL_THREADS setting, a variable the
-    # program no longer reads, which must change nothing.
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_outputs_byte_identical_across_thread_counts(ex5_file, kernel_file, tmp_path,
+                                                     monkeypatch, threads):
+    # NEUTRALCTL_THREADS is no longer read: a leftover setting must leave every
+    # artifact byte-identical to a run with the variable unset.
     # The history file gives z only, so dz comes from finite differences.
     theta = -1.0 + np.arange(101) / 100
     hist = tmp_path / "history.json"
     hist.write_text(json.dumps({"z": np.stack([np.cos(theta), theta], 1).tolist()}))
     runs = []
-    for name, setting in (("first", None), ("second", "4")):
+    for name, setting in (("ref", None), (f"t{threads}", threads)):
         if setting is None:
             monkeypatch.delenv("NEUTRALCTL_THREADS", raising=False)
         else:
