@@ -21,6 +21,7 @@ from .simulate import (
     History,
     HistoryGridMismatch,
     StepNotUnitDivisor,
+    _steps_per_unit,
     simulate,
     simulate_closed_loop,
     trajectory_to_csv,
@@ -185,7 +186,7 @@ def _load_history(args, sysm, q: int) -> History:
 
 def _cmd_simulate(args) -> int:
     sysm = load_system(args.system)
-    q = round(1.0 / args.step)
+    q = _steps_per_unit(args.step)
     history = _load_history(args, sysm, q)
     if args.feedback is not None:
         with open(args.feedback, "r", encoding="utf-8") as fh:

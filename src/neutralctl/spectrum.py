@@ -8,10 +8,11 @@ The eigenvalues are the zeros of det D(lambda) where
 
 with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda continued
 through lambda = 0 by its power series.  Zeros are counted on rectangle
-boundaries by the argument principle, isolated by adaptive subdivision and
-refined by multiplicity-aware Newton iteration on the determinant, started at
-the centroid of a leaf's zeros (the first contour moment, taken on the same
-quadrature nodes).  Only the outer contour of a search is hash-perturbed, and
+boundaries by the argument principle and located by adaptive subdivision:
+each search rectangle reads its distinct zeros and their multiplicities off
+its own contour moments (a Hankel pencil and a Vandermonde solve), polishes
+them by multiplicity-aware Newton iteration on the determinant, and is split
+when that fails.  Only the outer contour of a search is hash-perturbed, and
 it is integrated once; each sub-rectangle reuses its parent's edge panels and
 adds one cut line, which gets the same edge-local vanishing-determinant check
 as every edge.  Every coefficient is real, so det D(conj lambda) =
@@ -62,14 +63,28 @@ DEFAULT_ROOT_TOL = 1e-9
 # Kernel coefficients switch to their 6-term power series below this |lambda|.
 _SERIES_CUT = 1e-4
 
-# Leaf geometry limits for the subdivision search.
-_NEWTON_DIAM = 2.0
+# Smallest node the subdivision search splits.
 _MIN_LEAF = 1e-10
 _SPLIT_FRACTIONS = (0.5, 0.375, 0.625, 0.4375, 0.5625, 0.34375, 0.65625, 0.40625, 0.59375)
 # find_roots searches above Im = -delta for the first of these that cuts cleanly
 _HALF_CUTS = (0.37, 0.29, 0.45)
 
+# Contour moments kept per panel: a node resolves up to _P // 2 distinct
+# zeros.  Hankel singular values below _RANK_CUT times the largest are noise.
+_P = 8
+_RANK_CUT = 1e-8
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_POW = np.arange(_P)
+_XI_POW = _GL_NODES[:, None] ** _POW
+# _BINOM[p, q] a^(p - q) b^q is the xi^q coefficient of (a + b xi)^p
+_BINOM = np.array([[math.comb(p, q) for q in range(_P)] for p in range(_P)], dtype=float)
+_SHIFT = np.maximum(_POW[:, None] - _POW, 0)
+# a panel's moments from its lower and upper half's: xi = (xi_half -+ 1) / 2
+_FROM_LO = (_BINOM * (-1.0) ** _SHIFT / 2.0 ** _POW[:, None]).T
+_FROM_HI = (_BINOM / 2.0 ** _POW[:, None]).T
+# reversing a panel maps xi to -xi, and mirroring it conjugates dz
+_MIRROR = -((-1.0) ** _POW)
 
 
 class SpectrumError(RuntimeError):
@@ -93,7 +108,7 @@ class QuadratureNotConverged(SpectrumError):
 
 
 class MaxDepthExceeded(SpectrumError):
-    """Subdivision reached the minimum leaf size without isolating a root."""
+    """Subdivision reached the minimum node size without resolving its zeros."""
 
 
 class RootAccountingError(SpectrumError):
@@ -140,7 +155,7 @@ class SpectrumRegion:
 
 @dataclass(frozen=True)
 class Root:
-    """Located zero of det D with its isolating-count multiplicity.
+    """Located zero of det D with its contour-moment multiplicity.
 
     find_roots reports a root below the real axis as the exact conjugate of
     one above it, with that root's residual and newton_iterations.
@@ -274,14 +289,14 @@ def det_logderiv(sys: NeutralSystem, lam: complex):
 
 @dataclass(frozen=True)
 class _Side:
-    # Accepted panels of one rectangle side, which runs west to east or south
-    # to north with parameter t in [0, 1]: the panel boundaries t, the
-    # integrals of logderiv dz and lambda logderiv dz over the panels (one
-    # row of two per panel), and the smallest node |det| evaluated inside
-    # each panel.
+    # Accepted panels of one rectangle side from z0 to z1, west to east or
+    # south to north: the panel boundaries t in the side's parameter [0, 1],
+    # and per panel the moments of logderiv dz against xi^q, q < _P, in the
+    # panel's own variable xi, which runs from -1 to 1 along it.
+    z0: complex
+    z1: complex
     t: np.ndarray
     val: np.ndarray
-    mag: np.ndarray
 
 
 def _edge_error(kind, z0, z1, what, min_det, med):
@@ -289,25 +304,21 @@ def _edge_error(kind, z0, z1, what, min_det, med):
 
 
 def _gl_batch(sys, z0, z1, segs):
-    # GL10 integrals of logderiv and lambda logderiv per (a, b) row of segs,
-    # a sub-segment of [z0, z1] in its parameter, with the node parameters
-    # and the |det| node magnitudes for the vanishing-determinant floor check.
+    # GL10 moments per (a, b) row of segs, a sub-segment of [z0, z1] in its
+    # parameter, with the |det| node magnitudes for the floor checks.
     a = segs[:, 0][:, None]
     hw = 0.5 * (segs[:, 1] - segs[:, 0])[:, None]
-    s = (a + (_GL_NODES + 1.0) * hw).ravel()
-    w = (np.broadcast_to(_GL_WEIGHTS, (segs.shape[0], 10)) * hw).ravel()
-    z = z0 + s * (z1 - z0)
+    z = z0 + (a + (_GL_NODES + 1.0) * hw).ravel() * (z1 - z0)
     try:
         det, logd = _det_logderiv_many(sys, z)
     except SingularAtEvaluationPoint:
         raise ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}") from None
-    wl = w * logd
-    vals = np.column_stack([wl, wl * z]).reshape(segs.shape[0], 10, 2).sum(axis=1) * (z1 - z0)
+    vals = (_GL_WEIGHTS * logd.reshape(-1, 10)) @ _XI_POW * (hw * (z1 - z0))
     mags = np.abs(det)
     if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
         lo, med = float(np.min(mags)), float(np.median(mags))
         raise _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
-    return vals, s, mags
+    return vals, mags
 
 
 # Edge integrals aim below this absolute error so that the total winding
@@ -321,33 +332,28 @@ _SNAP = 1e-12
 
 def _adaptive_edge(sys, z0, z1, segs=None):
     # Panel-adaptive quadrature of logderiv along one edge: each panel is
-    # halved until the halved sum agrees with the coarse value, which fails
+    # halved until the halved count agrees with the coarse one, which fails
     # to terminate only when a zero of det sits (numerically) on the edge.
     # The starting panels are (a, b) parameter rows, by default a uniform
-    # grid of the edge.  Returns the accepted panels and the median |det| on
-    # the starting nodes, the scale of the floor checks.
+    # grid.  Returns the side and the median and smallest node |det|.
     if segs is None:
         n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
         segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
     active = np.asarray(segs, dtype=float)
     end = active[-1, 1]
-    old, s, mags = _gl_batch(sys, z0, z1, active)
-    med = float(np.median(mags))
-    min_det = float(np.min(mags))
-    nodes, node_mags = [s], [mags]
+    old, mags = _gl_batch(sys, z0, z1, active)
+    med, min_det = float(np.median(mags)), float(np.min(mags))
     done_a, done_val = [], []
     processed = len(active)
     while len(active):
         a, b = active[:, 0], active[:, 1]
         m = 0.5 * (a + b)
         halves = np.column_stack([a, m, m, b]).reshape(-1, 2)
-        vals, s, mags = _gl_batch(sys, z0, z1, halves)
-        nodes.append(s)
-        node_mags.append(mags)
+        vals, mags = _gl_batch(sys, z0, z1, halves)
         min_det = min(min_det, float(np.min(mags)))
         if min_det <= 1e-12 * med:
             raise _edge_error(ContourThroughZero, z0, z1, "det D vanishes", min_det, med)
-        fine = vals[0::2] + vals[1::2]
+        fine = vals[0::2] @ _FROM_LO + vals[1::2] @ _FROM_HI
         err = np.abs(fine[:, 0] - old[:, 0])
         tiny = (b - a) <= _MIN_SEG
         ok = tiny | (err <= _EDGE_BUDGET * (b - a))
@@ -360,11 +366,8 @@ def _adaptive_edge(sys, z0, z1, segs=None):
             raise _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle", min_det, med)
     a = np.concatenate(done_a)
     order = np.argsort(a)
-    t = np.append(a[order], end)
-    where = np.searchsorted(t, np.concatenate(nodes), side="right") - 1
-    mag = np.full(a.size, np.inf)
-    np.minimum.at(mag, np.clip(where, 0, a.size - 1), np.concatenate(node_mags))
-    return _Side(t, np.concatenate(done_val)[order], mag), med
+    side = _Side(z0, z1, np.append(a[order], end), np.concatenate(done_val)[order])
+    return side, med, min_det
 
 
 def _side_ends(rect):
@@ -377,12 +380,20 @@ def _side_ends(rect):
     return (sw, se), (se, ne), (nw, ne), (sw, nw)
 
 
-def _winding(sides):
-    # counterclockwise contour moments (1/2 pi i) int lambda^p det'/det,
-    # p = 0, 1, over bottom, right, top and left: the zero count and the sum
-    # of the zeros
-    bottom, right, top, left = (side.val.sum(axis=0) for side in sides)
-    return (bottom + right - top - left) / (2.0j * math.pi)
+def _moments(sides, c=0.0, rho=1.0, P=1):
+    # Counterclockwise moments (1/2 pi i) int u^p det'/det, p < P, with
+    # u = (lambda - c) / rho; by default S_0 alone, the zero count.  On a
+    # panel u = alpha + beta xi, and the shift is well conditioned when the
+    # panels lie on a rectangle of centre c and half-diagonal rho.
+    total = np.zeros(P, dtype=complex)
+    for side, sign in zip(sides, (1.0, 1.0, -1.0, -1.0)):
+        d = (side.z1 - side.z0) / rho
+        alpha = (side.z0 - c) / rho + 0.5 * (side.t[:-1] + side.t[1:]) * d
+        beta = 0.5 * np.diff(side.t) * d
+        shift = _BINOM[:P, :P] * (alpha[:, None] ** _POW[:P])[:, _SHIFT[:P, :P]]
+        shift *= (beta[:, None] ** _POW[:P])[:, None, :]
+        total += sign * np.einsum("jpq,jq->p", shift, side.val[:, :P])
+    return total / (2.0j * math.pi)
 
 
 def _count_of(W):
@@ -417,10 +428,10 @@ def _inflate(rect):
 def _mirror_half(half):
     # A south-to-north side of a real-symmetric contour from its lower half:
     # det D(conj z) = conj det D(z), so the upper half's panels are the lower
-    # ones in reverse order with the integrals -conj(val)
+    # ones in reverse order with the moments _MIRROR conj(val)
     t = np.concatenate([0.5 * half.t, 1.0 - 0.5 * half.t[-2::-1]])
-    val = np.concatenate([half.val, -half.val[::-1].conj()])
-    return _Side(t, val, np.concatenate([half.mag, half.mag[::-1]]))
+    val = np.concatenate([half.val, _MIRROR * half.val[::-1].conj()])
+    return _Side(half.z0, half.z0.conjugate(), t, val)
 
 
 def _outer_contour(sys, region):
@@ -432,23 +443,22 @@ def _outer_contour(sys, region):
     ends = _side_ends(rect)
     if region.im_min == -region.im_max:
         sw, se = ends[0]
-        (bottom, mb), (right, mr), (left, ml) = [
+        (bottom, *b), (right, *r), (left, *l) = [
             _adaptive_edge(sys, z0, z1)
             for z0, z1 in ((sw, se), (se, complex(se.real, 0.0)), (sw, complex(sw.real, 0.0)))
         ]
-        top = _Side(bottom.t, bottom.val.conj(), bottom.mag)
-        edges = [(bottom, mb), (_mirror_half(right), mr), (top, mb), (_mirror_half(left), ml)]
+        top = _Side(*ends[2], bottom.t, bottom.val.conj())
+        edges = [(bottom, *b), (_mirror_half(right), *r), (top, *b), (_mirror_half(left), *l)]
     else:
         edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in ends]
-    sides = [side for side, _ in edges]
+    sides, meds, lows = zip(*edges)
     # cross-edge floor: the smallest |det| of any side against the largest median
-    lows = [float(np.min(side.mag)) for side in sides]
     low = int(np.argmin(lows))
-    med = max(m for _, m in edges)
+    med = max(meds)
     if lows[low] <= 1e-12 * med:
         what = "det D vanishes (median: largest of the four edges)"
         raise _edge_error(ContourThroughZero, *ends[low], what, lows[low], med)
-    W = _winding(sides)[0]
+    W = _moments(sides)[0]
     if not np.isfinite(W):
         raise ContourThroughZero(f"winding of det D over {rect} is not finite")
     k = _count_of(W)
@@ -472,106 +482,97 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     QuadratureNotConverged, each naming the edge.  On a rectangle symmetric
     about the real axis only the bottom edge and the lower halves of the
     vertical sides are integrated; the rest is their mirror image, since
-    det D(conj lambda) = conj det D(lambda).  Only this outer contour is
-    perturbed: find_roots counts the sub-rectangles of its search on their
-    parent's panels plus one cut line each, not through this function.
+    det D(conj lambda) = conj det D(lambda).  find_roots integrates this
+    outer contour once; its sub-rectangles reuse it plus one cut line each.
     """
     return _outer_contour(sys, region)[0]
 
 
 def _residual(sys, lam):
-    # |det| at lam over the largest |det| on four probe points at a local
-    # scale; returns (residual, probe scale, probe radius).
+    # |det| at lam over the largest |det| on four probe points at a local scale
     r = 1e-2 * (1.0 + abs(lam))
     probes = lam + r * np.array([1.0, 1.0j, -1.0, -1.0j])
-    vals = np.abs(np.linalg.det(delta_many(sys, probes)))
-    scale = float(np.max(vals))
+    scale = float(np.max(np.abs(np.linalg.det(delta_many(sys, probes)))))
     here = abs(np.linalg.det(delta(sys, lam)))
-    if scale == 0.0:
-        return 0.0, scale, r
-    return float(here / scale), scale, r
+    return float(here / scale) if scale else 0.0
 
 
-def _newton_cluster(sys, rect, count, sides, tol):
-    # Multiplicity-aware Newton from the centroid s1 / s0 of the leaf's zeros
-    # (the moments' common quadrature error cancels in the ratio, unlike in
-    # s1 / count).  For multiple roots |det| bottoms out at the cancellation
-    # noise of the matrix entries, so the iteration stops at the first step
-    # that does not lower |det| and keeps its best point; the accepted root
-    # must then pass the residual test and an isolating count (tried at
-    # growing radii until the contour clears the noise floor).
-    s0, s1 = _winding(sides)
-    lam = complex(s1 / s0)
-    best = None
-    best_mag = math.inf
+def _newton(sys, lam, mult):
+    # Multiplicity-aware Newton.  For multiple roots |det| bottoms out at the
+    # cancellation noise of the matrix entries, so it stops at the first step
+    # that does not lower |det|: (best point or None, iterations).
+    best, best_mag = None, math.inf
     for iterations in range(1, 61):
         try:
             det, logd = det_logderiv(sys, lam)
         except SingularAtEvaluationPoint:
-            best, best_mag = lam, 0.0
-            break
+            return lam, iterations
         mag = abs(det)
         if not mag < best_mag:
             break
         best, best_mag = lam, mag
         if mag == 0.0 or not np.isfinite(logd):
             break
-        lam = lam - count / logd
-    if best is None or not rect.contains(best):
-        return None
-    lam = best
-    res, probe_scale, probe_r = _residual(sys, lam)
-    if res > tol:
-        return None
-    cap = 0.3 * min(0.5 * rect.width, 0.5 * rect.height)
-    scale = 1.0 + abs(lam)
-    # an isolating contour is pointless while |det| on it would drown in the
-    # determinant noise seen at the Newton stall point
-    r_noise = 0.0
-    if best_mag > 0.0 and probe_scale > 0.0:
-        r_noise = probe_r * (100.0 * best_mag / probe_scale) ** (1.0 / count)
-    radii = [
-        r * scale
-        for r in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
-        if r * scale <= cap and r * scale >= r_noise
-    ]
-    if not radii:
-        radii = [min(max(1e-7 * scale, r_noise), cap)]
-    for iso in radii:
-        iso_rect = SpectrumRegion(
-            lam.real - iso, lam.real + iso, lam.imag - iso, lam.imag + iso
-        )
-        try:
-            got = count_zeros(sys, iso_rect)
-        except SpectrumError:
-            continue
-        if got == count:
-            # a non-real zero's conjugate is another zero, which would double
-            # the count if it lay in this square too: such a root is real
-            if 2.0 * abs(lam.imag) < iso:
-                lam = complex(lam.real, 0.0)
-            return Root(lam=lam, multiplicity=count, residual=res, newton_iterations=iterations)
-    return None
+        lam = lam - mult / logd
+    return best, iterations
 
 
-def _slice(sys, side, z0, z1, c):
-    # The panels of side [z0, z1] below and above parameter c, each
-    # reparametrized to [0, 1].  A panel straddling c is integrated afresh as
-    # its two pieces, each starting from one GL panel.
-    t, val, mag = side.t, side.val, side.mag
+def _node_roots(sys, rect, count, sides, tol):
+    # The zeros of one node from its moments S_p, or None.  The Hankel pencil
+    # of S_0 .. S_2k-1, k = min(count, _P // 2), cut at its numerical rank d,
+    # gives the d distinct zeros unless d = k < count, and a Vandermonde
+    # solve their multiplicities, positive integers adding up to count.
+    # Newton from each estimate must stay in the node and nearest its own
+    # estimate, and pass the residual test.  A root is real if its conjugate
+    # also lies in the node nearest its own estimate.
+    c = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
+    rho = 0.5 * math.hypot(rect.width, rect.height)
+    k = min(count, _P // 2)
+    S = _moments(sides, c, rho, 2 * k)
+    hankel = np.add.outer(np.arange(k), np.arange(k))
+    U, sig, Vh = np.linalg.svd(S[hankel])
+    d = int(np.count_nonzero(sig > _RANK_CUT * sig[0]))
+    if d == k < count:
+        return None
+    pencil = U[:, :d].conj().T @ S[hankel + 1] @ Vh[:d].conj().T / sig[:d]
+    u = np.linalg.eigvals(pencil)
+    m = np.linalg.lstsq(np.vander(u, d, increasing=True).T, S[:d], rcond=None)[0]
+    mults = [_count_of(x) for x in m]
+    if None in mults or 0 in mults or sum(mults) != count:
+        return None
+    est = c + rho * u
+    roots = []
+    for i, mult in enumerate(mults):
+        lam, iterations = _newton(sys, complex(est[i]), mult)
+        if lam is None or not rect.contains(lam) or np.argmin(np.abs(est - lam)) != i:
+            return None
+        res = _residual(sys, lam)
+        if not res <= tol:  # NaN when the probes overflow
+            return None
+        if rect.contains(lam.conjugate()) and np.argmin(np.abs(est - lam.conjugate())) == i:
+            lam = complex(lam.real, 0.0)
+        roots.append(Root(lam=lam, multiplicity=mult, residual=res, newton_iterations=iterations))
+    return roots
+
+
+def _slice(sys, side, c):
+    # The panels of a side below and above its parameter c, as two sides.
+    # A panel straddling c is integrated afresh as its two pieces, each
+    # starting from one GL panel.
+    t, val = side.t, side.val
     i = int(np.searchsorted(t, c))  # t[i - 1] < c <= t[i]
     if c - t[i - 1] <= _SNAP:
         i -= 1
     elif t[i] - c > _SNAP:
-        piece, _ = _adaptive_edge(sys, z0, z1, [(t[i - 1], c), (c, t[i])])
+        piece, _, _ = _adaptive_edge(sys, side.z0, side.z1, [(t[i - 1], c), (c, t[i])])
         t = np.concatenate([t[: i - 1], piece.t, t[i + 1 :]])
         val = np.concatenate([val[: i - 1], piece.val, val[i:]])
-        mag = np.concatenate([mag[: i - 1], piece.mag, mag[i:]])
         i += int(np.searchsorted(piece.t, c)) - 1
+    zc = side.z0 + c * (side.z1 - side.z0)
     lo_t = t[: i + 1] / c
     hi_t = (t[i:] - c) / (1.0 - c)
     lo_t[-1], hi_t[0] = 1.0, 0.0
-    return _Side(lo_t, val[:i], mag[:i]), _Side(hi_t, val[i:], mag[i:])
+    return _Side(side.z0, zc, lo_t, val[:i]), _Side(zc, side.z1, hi_t, val[i:])
 
 
 def _split(sys, rect, sides, vertical=None, fracs=_SPLIT_FRACTIONS):
@@ -583,30 +584,29 @@ def _split(sys, rect, sides, vertical=None, fracs=_SPLIT_FRACTIONS):
     # counts add up to the parent's by construction; the RootAccountingError
     # checks of find_roots guard the totals.
     bottom, right, top, left = sides
-    (sw, se), (_, ne), (nw, _), _ = _side_ends(rect)
     if vertical is None:
         vertical = rect.height >= rect.width
     for frac in fracs:
         try:
             if vertical:
                 y = rect.im_min + frac * rect.height
-                cut, _ = _adaptive_edge(sys, complex(rect.re_min, y), complex(rect.re_max, y))
-                r1, r2 = _slice(sys, right, se, ne, frac)
-                l1, l2 = _slice(sys, left, sw, nw, frac)
+                cut, _, _ = _adaptive_edge(sys, complex(rect.re_min, y), complex(rect.re_max, y))
+                r1, r2 = _slice(sys, right, frac)
+                l1, l2 = _slice(sys, left, frac)
                 lo = SpectrumRegion(rect.re_min, rect.re_max, rect.im_min, y)
                 hi = SpectrumRegion(rect.re_min, rect.re_max, y, rect.im_max)
                 kids = [(lo, (bottom, r1, cut, l1)), (hi, (cut, r2, top, l2))]
             else:
                 x = rect.re_min + frac * rect.width
-                cut, _ = _adaptive_edge(sys, complex(x, rect.im_min), complex(x, rect.im_max))
-                b1, b2 = _slice(sys, bottom, sw, se, frac)
-                t1, t2 = _slice(sys, top, nw, ne, frac)
+                cut, _, _ = _adaptive_edge(sys, complex(x, rect.im_min), complex(x, rect.im_max))
+                b1, b2 = _slice(sys, bottom, frac)
+                t1, t2 = _slice(sys, top, frac)
                 lo = SpectrumRegion(rect.re_min, x, rect.im_min, rect.im_max)
                 hi = SpectrumRegion(x, rect.re_max, rect.im_min, rect.im_max)
                 kids = [(lo, (b1, cut, t1, left)), (hi, (b2, right, t2, cut))]
         except SpectrumError:
             continue
-        counts = [_count_of(_winding(s)[0]) for _, s in kids]
+        counts = [_count_of(_moments(s)[0]) for _, s in kids]
         if None not in counts:
             return [(r, k, s) for (r, s), k in zip(kids, counts)]
     raise ContourThroughZero(
@@ -631,14 +631,15 @@ def find_roots(
     the zeros onto themselves: the outer contour is integrated on its lower
     half, one cut at Im = -delta (the first of _HALF_CUTS that cuts cleanly,
     times top / 2 when top < 2) splits it, and only the upper child
-    [re_min, re_max] x [-delta, top] is searched.  A root whose conjugate
-    lies in its isolating square is put on the axis and reported once, a
-    root above it is reported with its exact conjugate (same
-    residual and newton_iterations), and a root below it, the conjugate of
-    one above, is dropped.  RootAccountingError is raised unless the upper
-    child's roots add up to its count and the reported roots to the whole
-    region's.  The result is sorted by (Re rounded to 9 decimals, Im) and is
-    closed under conjugation bit for bit.
+    [re_min, re_max] x [-delta, top] is searched: each search rectangle
+    reads its roots off its contour moments, or is split.  A root whose
+    conjugate lies in its rectangle, nearer its own moment estimate than any
+    other, is put on the axis and reported once, a root above it with its
+    exact conjugate (same residual and newton_iterations), and a root below
+    it, the conjugate of one above, is dropped.  RootAccountingError is
+    raised unless the upper child's roots add up to its count and the
+    reported roots to the whole region's.  The result is sorted by (Re
+    rounded to 9 decimals, Im) and closed under conjugation bit for bit.
     """
     region = region.symmetrized()
     total, rect, sides = _outer_contour(sys, region)
@@ -653,13 +654,12 @@ def find_roots(
     stack = [(rect, upper, sides)] if upper else []
     while stack:
         rect, count, sides = stack.pop()
-        if math.hypot(rect.width, rect.height) <= _NEWTON_DIAM:
-            root = _newton_cluster(sys, rect, count, sides, tol)
-            if root is not None:
-                found.append(root)
-                continue
+        roots = _node_roots(sys, rect, count, sides, tol)
+        if roots is not None:
+            found += roots
+            continue
         if max(rect.width, rect.height) < _MIN_LEAF:
-            raise MaxDepthExceeded(f"leaf {rect} below {_MIN_LEAF} still holds {count} zeros")
+            raise MaxDepthExceeded(f"node {rect} below {_MIN_LEAF} still holds {count} zeros")
         stack.extend(kid for kid in reversed(_split(sys, rect, sides)) if kid[1])
     _check_sum(found, upper, "upper half")
     roots = [r for r in found if r.lam.imag >= 0.0]

@@ -141,6 +141,14 @@ def test_bad_step_is_operational_error(ex3_file, tmp_path, capsys):
     assert "StepNotUnitDivisor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["0", "-0.01"])
+def test_nonpositive_step_is_operational_error(ex3_file, tmp_path, capsys, step):
+    # the step is validated before the history grid is built from it
+    code = run("simulate", "--system", str(ex3_file), f"--step={step}", "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: StepNotUnitDivisor: ")
+
+
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_outputs_byte_identical_across_thread_counts(ex5_file, kernel_file, tmp_path,
                                                      monkeypatch, threads):

@@ -25,10 +25,10 @@ from neutralctl import spectrum
 from neutralctl.spectrum import (
     _adaptive_edge,
     _inflate,
+    _moments,
     _outer_contour,
     _side_ends,
     _split,
-    _winding,
     delta_many,
 )
 
@@ -296,13 +296,13 @@ def test_find_roots_work_bound(ex5, monkeypatch):
     # deterministic work counters of one wide search: log-derivative points
     # (172,669 when every split recounted both children from scratch, 30,021
     # when the whole symmetric window was searched rather than its upper
-    # half) and
+    # half, 15,723 when each root took an isolating count) and
     # Newton's det_logderiv calls (94 when Newton started at the leaf centre)
     points = count_points(monkeypatch, "_det_logderiv_many")
     calls = count_points(monkeypatch, "det_logderiv")
     roots = find_roots(ex5, SpectrumRegion(-1, 1, -40, 40))
     assert sum(r.multiplicity for r in roots) == 15
-    assert sum(points) <= 20_000
+    assert sum(points) <= 6_000
     assert len(calls) <= 70
 
 
@@ -321,7 +321,7 @@ def _conjugate_closed(roots):
     return keys == sorted((re, -im, m) for re, im, m in keys)
 
 
-def test_find_roots_planted_real_double_root_and_near_real_pair():
+def planted_system():
     # det D = (lambda - 0.5 lambda e^-lambda - 0.3) (lambda + 0.5)^2
     # ((lambda + 0.2)^2 + 1e-6), in a rotated basis: a chain beside a real
     # Jordan double root and a pair 1e-3 off the real axis
@@ -332,8 +332,12 @@ def test_find_roots_planted_real_double_root_and_near_real_pair():
     A0[1:3, 1:3] = [[-0.5, 1.0], [0.0, -0.5]]
     A0[3:, 3:] = [[-0.2, 1e-3], [-1e-3, -0.2]]
     Q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((5, 5)))
-    sys = NeutralSystem(n=5, m=1, p=0, A_minus1=Q @ A_minus1 @ Q.T, A0=Q @ A0 @ Q.T,
-                        A1=np.zeros((5, 5)), B=np.ones((5, 1)))
+    return NeutralSystem(n=5, m=1, p=0, A_minus1=Q @ A_minus1 @ Q.T, A0=Q @ A0 @ Q.T,
+                         A1=np.zeros((5, 5)), B=np.ones((5, 1)))
+
+
+def test_find_roots_planted_real_double_root_and_near_real_pair():
+    sys = planted_system()
     region = SpectrumRegion(-2, 1, -10, 10)
     roots = find_roots(sys, region)
     assert _conjugate_closed(roots)
@@ -344,6 +348,49 @@ def test_find_roots_planted_real_double_root_and_near_real_pair():
     assert [r.multiplicity for r in pair] == [1, 1]
     assert pair[0].lam == pair[1].lam.conjugate()
     assert abs(pair[1].lam - (-0.2 + 1e-3j)) < 1e-12
+
+
+def test_find_roots_integrates_no_isolating_contour(ex5, monkeypatch):
+    # every search rectangle reads its roots off the moments of the outer
+    # contour and its cut lines; no root takes a contour of its own
+    def fail(sys, region):
+        raise AssertionError(f"count_zeros called on {region}")
+
+    cases = [
+        (ex5, SpectrumRegion(-1, 1, -40, 40)),
+        (kernel_system4(), SpectrumRegion(-4, 3, -10, 10)),
+        (planted_system(), SpectrumRegion(-2, 1, -10, 10)),
+    ]
+    totals = [count_zeros(sys, region) for sys, region in cases]
+    monkeypatch.setattr(spectrum, "count_zeros", fail)
+    for (sys, region), total in zip(cases, totals):
+        roots = find_roots(sys, region)
+        assert _conjugate_closed(roots)
+        assert sum(r.multiplicity for r in roots) == total > 0
+
+
+def _rotated_jordan_at(mu, order, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((order, order)))
+    return Q @ (mu * np.eye(order) + np.eye(order, k=1)) @ Q.T
+
+
+@pytest.mark.parametrize("mu, order, A0", [
+    (0.0, 9, np.eye(9, k=1)),
+    (-0.3, 5, _rotated_jordan_at(-0.3, 5, seed=5)),
+], ids=["jordan9_at_0", "rotated_jordan5"])
+def test_find_roots_single_zero_of_high_multiplicity(mu, order, A0):
+    # det D = det(lambda I - A0) with A0 a Jordan block: one zero of
+    # multiplicity 9 or 5, more than a node resolves as distinct zeros.  The
+    # float coefficients of the rotated block spread its eigenvalues over a
+    # circle of radius 4.5e-4 (60-digit mpmath): one root at their mean.
+    Z = np.zeros((order, order))
+    sys = NeutralSystem(n=order, m=1, p=0, A_minus1=Z, A0=A0, A1=Z, B=np.ones((order, 1)))
+    (root,) = find_roots(sys, SpectrumRegion(-2, 2, -3, 3))
+    assert root.multiplicity == order and root.lam.imag == 0.0
+    with mpmath.workdps(60):
+        eigs = [complex(e) for e in mpmath.eig(mpmath.matrix(A0.tolist()), left=False, right=False)]
+    assert abs(root.lam - np.mean(eigs)) <= 1e-12
+    assert abs(root.lam - mu) <= 1e-12 and max(abs(e - mu) for e in eigs) <= 1e-3
 
 
 def _random_real_system(rng, n, kernels):
@@ -394,14 +441,16 @@ def test_find_roots_half_search_against_full_counts_and_mpmath(seed):
 
 
 def test_mirrored_outer_contour_matches_full_integration():
-    # the winding and the s1 moment of the mirrored sides against all four
-    # sides of the same contour integrated directly
+    # all eight contour moments of the mirrored sides, in the variable of a
+    # rectangle off the real axis, against all four sides of the same
+    # contour integrated directly
     sys = kernel_system4()
     region = SpectrumRegion(-4, 3, -10, 10)
     count, rect, sides = _outer_contour(sys, region)
     assert rect == _inflate(region) and rect.im_min == -rect.im_max
     full = [_adaptive_edge(sys, z0, z1)[0] for z0, z1 in _side_ends(rect)]
-    mirrored, direct = _winding(sides), _winding(full)
+    c, rho = complex(-0.5, 2.0), 0.5 * math.hypot(rect.width, rect.height)
+    mirrored, direct = _moments(sides, c, rho, 8), _moments(full, c, rho, 8)
     assert count == round(direct[0].real) > 0
     assert np.all(np.abs(mirrored - direct) <= 1e-8)
 

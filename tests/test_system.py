@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutralctl import (
     DimensionError,
@@ -92,6 +94,52 @@ def test_round_trip_exact():
         assert np.array_equal(getattr(sys, name), getattr(again, name))
     assert sys.kernels[0].a == again.kernels[0].a
     assert np.array_equal(sys.kernels[0].A3, again.kernels[0].A3)
+
+
+# finite floats, with the signed zeros, subnormals and the float range's ends
+# drawn often enough to appear in every run
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _any_systems(draw):
+    n, m, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.sampled_from([0, 1, 2]))
+
+    def mat(rows, cols):
+        row = st.lists(_ENTRIES, min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float)
+
+    k = draw(st.integers(0, 2))
+    ends = sorted(draw(st.lists(st.floats(-1.0, 0.0), min_size=2 * k, max_size=2 * k, unique=True)))
+    kernels = tuple(KernelSegment(a, b, mat(n, n), mat(n, n)) for a, b in zip(ends[::2], ends[1::2]))
+    return NeutralSystem(n=n, m=m, p=p, A_minus1=mat(n, n), A0=mat(n, n), A1=mat(n, n),
+                         B=mat(n, m), C=mat(p, n) if p else None, kernels=kernels)
+
+
+def _bits(x):
+    # shape and bit pattern, so that -0.0 and 0.0 differ
+    x = np.asarray(x, dtype=float)
+    return x.shape, x.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_any_systems())
+def test_round_trip_property(sys):
+    again = parse_system(serialize_system(sys))
+    assert (again.n, again.m, again.p) == (sys.n, sys.m, sys.p)
+    for name in ("A_minus1", "A0", "A1", "B"):
+        assert _bits(getattr(again, name)) == _bits(getattr(sys, name))
+    assert (again.C is None) == (sys.C is None)
+    if sys.C is not None:
+        assert _bits(again.C) == _bits(sys.C)
+    assert len(again.kernels) == len(sys.kernels)
+    for seg, twin in zip(sys.kernels, again.kernels):
+        assert _bits([twin.a, twin.b]) == _bits([seg.a, seg.b])
+        assert _bits(twin.A2) == _bits(seg.A2) and _bits(twin.A3) == _bits(seg.A3)
 
 
 def test_kernel_validation():
