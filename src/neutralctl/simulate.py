@@ -1,17 +1,21 @@
 """Method-of-steps integration of the neutral delay equation.
 
 The unit delay is resolved exactly on a grid of step h = 1/q, so each
-interval [k, k+1] is a forced ODE driven by the samples of the previous
-interval.  Integration is classical fourth-order Runge-Kutta; delayed reads
-at half-steps use cubic interpolation of the stored samples, and the stored
-derivative always comes from the right-hand side itself, which keeps the
-neutral term consistent with the equation and lets derivative jumps
-propagate across integer times as they should.
+interval [k, k+1] is a forced linear ODE Y' = M Y + g(t) driven by the
+samples of the previous interval, with feedback gains folded into M and the
+forcing matrices.  Classical RK4 on it is one affine map per step,
+Y+ = P Y + Q0 g(t) + Qm g(t+h/2) + (h/6) g(t+h), and each interval's forcing
+is one batch: stored rows at the nodes, cubic midpoint stencils at the
+half-steps, and a callable input called once at each.  The stored
+derivative is M Y + g itself, which keeps the neutral term consistent with
+the equation and lets derivative jumps propagate across integer times.
 
 Kernels need no quadrature: int_a^b A2 dz(t+s) ds telescopes exactly to
-A2 [z(t+b) - z(t+a)], and w(t) = int_a^b z(t+s) ds rides along as RK4 state
-with w' = z(t+b) - z(t+a).  Fourth order holds for a history compatible with
-the equation; otherwise derivative jumps at integer times limit it.
+A2 [z(t+b) - z(t+a)], and w(t) = int_a^b z(t+s) ds rides along as state
+with w' = z(t+b) - z(t+a); reads past the previous interval are made step
+by step, from the rows just computed.  Fourth order holds for a history
+compatible with the equation; otherwise derivative jumps at integer times
+limit it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import FeedbackLaw, NeutralSystem
+from .system import FeedbackLaw, NeutralSystem, zero_law
 
 __all__ = [
     "StepNotUnitDivisor",
@@ -74,8 +78,11 @@ class History:
             raise HistoryGridMismatch(
                 f"history arrays must have shape ({self.q + 1}, n), got {z.shape} and {dz.shape}"
             )
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "dz", dz)
+        for name, arr in (("z", z), ("dz", dz)):
+            if not np.isfinite(arr).all():
+                i, j = np.argwhere(~np.isfinite(arr))[0]
+                raise ValueError(f"history {name}[{i}, {j}] = {arr[i, j]} is not finite")
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_samples(cls, z, q: int, dz=None) -> "History":
@@ -83,8 +90,10 @@ class History:
         second-order finite differences when dz is not given."""
         z = np.asarray(z, dtype=float)
         if dz is None:
-            dz = np.empty_like(z)
-            if z.ndim == 2 and z.shape[0] == q + 1 >= 3:
+            dz = np.zeros_like(z)
+            if z.ndim == 2 and z.shape[0] == q + 1:
+                if q < 2:
+                    raise HistoryGridMismatch(f"finite differences need q >= 2, got q={q}")
                 h = 1.0 / q
                 dz[1:-1] = (z[2:] - z[:-2]) / (2.0 * h)
                 dz[0] = (-3.0 * z[0] + 4.0 * z[1] - z[2]) / (2.0 * h)
@@ -191,126 +200,116 @@ def _history_integral(z, lo, hi):
     return ((width[:, None] * _GL3_W).ravel() / q) @ _interp_many(z, q, x.ravel())
 
 
-def _make_control(sys, control):
+def _mids(arr):
+    """Rows at every half-step of a fully filled array, by the stencils of
+    _read_mid."""
+    w = _W_CENTER
+    center = w[0] * arr[:-3] + w[1] * arr[1:-2] + w[2] * arr[2:-1] + w[3] * arr[3:]
+    return np.vstack((_W_LEFT @ arr[:4], center, _W_RIGHT @ arr[-4:]))
+
+
+def _inputs(control, m, times):
+    """Rows c(t) of the external input at the given times."""
     if control is None:
-        control = np.zeros(sys.m)
+        return np.zeros((times.size, m))
     if callable(control):
-        def ufun(t, y, zr, dzr):
-            return np.atleast_1d(np.asarray(control(t), dtype=float))
-        return ufun
-    const = np.atleast_1d(np.asarray(control, dtype=float))
-    if const.shape != (sys.m,):
-        raise ValueError(f"constant control must have shape ({sys.m},)")
-    return lambda t, y, zr, dzr: const
+        c = np.array([np.atleast_1d(np.asarray(control(t), dtype=float)) for t in times.tolist()])
+    else:
+        c = np.tile(np.atleast_1d(np.asarray(control, dtype=float)), (times.size, 1))
+    if c.shape != (times.size, m):
+        raise ValueError(f"control must have shape ({m},), got shape {c.shape[1:]}")
+    return c
 
 
-def _law_control(law: FeedbackLaw):
-    def ufun(t, y, zr, dzr):
-        return law.F_minus1 @ dzr + law.F0 @ y + law.F1 @ zr
-
-    return ufun
-
-
-def _simulate_core(sys, history, ufun, horizon, step):
+def _simulate_core(sys, history, law, control, horizon, step):
     q = _steps_per_unit(step)
-    h = 1.0 / q
+    h, n, B, kernels = 1.0 / q, sys.n, sys.B, sys.kernels
     if history.q != q:
         raise HistoryGridMismatch(f"history grid has q={history.q}, simulation needs q={q}")
-    if history.z.shape[1] != sys.n:
-        raise HistoryGridMismatch(
-            f"history dimension {history.z.shape[1]} does not match n={sys.n}"
-        )
+    if history.z.shape[1] != n:
+        raise HistoryGridMismatch(f"history dimension {history.z.shape[1]} does not match n={n}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     n_steps = round(horizon * q)
     if n_steps < 1 or abs(n_steps * h - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of the step {h}")
 
-    n = sys.n
-    A_1, A0, A1, B = sys.A_minus1, sys.A0, sys.A1, sys.B
-    kernels = sys.kernels
-    v0 = history.z[-1] - A_1 @ history.z[0]
+    v0 = history.z[-1] - sys.A_minus1 @ history.z[0]
+    # the gains fold in as in apply_feedback; AD forces with the delayed
+    # reads [dz(t-1), z(t-1)] and FD feeds them back into u
+    M = sys.A0 + B @ law.F0
+    AD = np.vstack(((sys.A_minus1 + B @ law.F_minus1).T, (sys.A1 + B @ law.F1).T))
+    FD = np.vstack((law.F_minus1.T, law.F1.T))
     z_hist = history.z
     if kernels:
         # segment bounds as node coordinates of the interval before t
         ends = [(q * (1.0 + seg.a), q * (1.0 + seg.b)) for seg in kernels]
-        at_t = np.array([[hi == q] for _, hi in ends], dtype=float)
         A2 = np.hstack([seg.A2 for seg in kernels])
         A3 = np.hstack([seg.A3 for seg in kernels])
         # the running integrals w = int_a^b z(t+s) ds ride along as extra
-        # state columns; only the last history row needs their start value
-        z_hist = np.hstack((z_hist, np.zeros((q + 1, n * len(kernels)))))
+        # state with w' = z(t+b) - z(t+a), which A2 telescopes to; T passes
+        # z(t) itself to the segments that end at 0
+        T = np.vstack([np.eye(n) * (hi == q) for _, hi in ends])
+        M = np.block([[M + A2 @ T, A3], [T, np.zeros((T.shape[0], T.shape[0]))]])
+        # only the last history row needs the integrals' start value
+        z_hist = np.hstack((z_hist, np.zeros((q + 1, T.shape[0]))))
         z_hist[-1, n:] = np.concatenate([_history_integral(history.z, lo, hi) for lo, hi in ends])
 
-    def delayed(s, z_prev, z_cur, filled):
-        # z(t+b) - z(t+a) per segment for t at node coordinate s, leaving out
-        # z(t) itself, which is the stage state
-        return np.array([
+    def forced(s, z_prev, z_cur, filled):
+        # kernel forcing [A2 d; d] with d = z(t+b) - z(t+a) per segment for t
+        # at node coordinate s, leaving out z(t) itself
+        d = np.concatenate([
             (0.0 if hi == q else _read_at(s + hi, z_prev, z_cur, filled))
             - _read_at(s + lo, z_prev, z_cur, filled)
             for lo, hi in ends
         ])
+        return np.concatenate((A2 @ d, d))
 
-    def rhs(t_abs, Y, zr, dzr, dd):
-        # A2 telescopes exactly to A2 [z(t+b) - z(t+a)], which is also w'
-        y = Y[:n]
-        val = A_1 @ dzr + A0 @ y + A1 @ zr
-        u = ufun(t_abs, y, zr, dzr)
-        if not kernels:
-            return val + B @ u, u
-        d = (dd + at_t * y).ravel()
-        val = val + A2 @ d + A3 @ Y[n:]
-        return np.concatenate((val + B @ u, d)), u
+    # RK4 on Y' = M Y + g(t), its four stages regrouped into one affine map:
+    # Y+ = P Y + Q0 g(t) + Qm g(t + h/2) + (h/6) g(t + h)
+    I = np.eye(M.shape[0])
+    H = h * M
+    H2, H3 = H @ H, H @ H @ H
+    P = I + H + H2 / 2.0 + H3 / 6.0 + (H3 @ H) / 24.0
+    Q0 = (h / 6.0) * (I + H + H2 / 2.0 + H3 / 4.0)
+    Qm = (h / 6.0) * (4.0 * I + 2.0 * H + H2 / 2.0)
 
-    intervals_z = [z_hist]
-    intervals_dz = [history.dz]
-    intervals_u = []
-    dd_mid = dd_end = None
-
-    remaining = n_steps
-    r = 0
-    while remaining > 0:
-        steps = min(q, remaining)
+    intervals_z, intervals_dz, intervals_u = [z_hist], [history.dz], []
+    for r, start in enumerate(range(0, n_steps, q)):
+        steps = min(q, n_steps - start)
         z_prev = intervals_z[-1][:, :n]
-        dz_prev = intervals_dz[-1][:, :n]
-        z_cur = np.zeros((steps + 1, z_hist.shape[1]))
-        dz_cur = np.zeros_like(z_cur)
-        u_cur = np.zeros((steps + 1, sys.m))
-        zc = z_cur[:, :n]
+        # one batch of delayed reads and inputs: the steps + 1 nodes, then
+        # the half-steps
+        reads = np.hstack((intervals_dz[-1], z_prev))
+        reads = np.vstack((reads[: steps + 1], _mids(reads)[:steps]))
+        c = _inputs(control, sys.m, (r * q + np.r_[0 : steps + 1, 0.5 : steps]) / q)
+        g = np.zeros((2 * steps + 1, M.shape[0]))
+        g[:, :n] = reads @ AD + c @ B.T
+        g_node, g_mid = g[: steps + 1], g[steps + 1 :]
+        F = g_node[:-1] @ Q0.T + g_mid @ Qm.T + (h / 6.0) * g_node[1:]
 
-        z_cur[0] = intervals_z[-1][-1]
+        Y = np.empty((steps + 1, M.shape[0]))
+        Y[0] = intervals_z[-1][-1]
+        zc = Y[:, :n]
+        # kernel reads past the previous interval need the rows just computed
+        gk = np.zeros_like(g_node)
         if kernels:
-            dd_end = delayed(0.0, z_prev, zc, 0)
-        dz_cur[0], u_cur[0] = rhs(float(r), z_cur[0], z_prev[0], dz_prev[0], dd_end)
+            gk[0] = forced(0.0, z_prev, zc, 0)
         for i in range(steps):
-            t = r + i * h
-            zr_mid = _read_mid(z_prev, i)
-            dzr_mid = _read_mid(dz_prev, i)
-            zr_end = z_prev[i + 1]
-            dzr_end = dz_prev[i + 1]
             if kernels:
-                dd_mid = delayed(i + 0.5, z_prev, zc, i)
-                dd_end = delayed(i + 1.0, z_prev, zc, i)
-            k1 = dz_cur[i].copy()
-            k2, _ = rhs(t + 0.5 * h, z_cur[i] + 0.5 * h * k1, zr_mid, dzr_mid, dd_mid)
-            k3, _ = rhs(t + 0.5 * h, z_cur[i] + 0.5 * h * k2, zr_mid, dzr_mid, dd_mid)
-            k4, _ = rhs(t + h, z_cur[i] + h * k3, zr_end, dzr_end, dd_end)
-            z_cur[i + 1] = z_cur[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            dz_cur[i + 1], u_cur[i + 1] = rhs(t + h, z_cur[i + 1], zr_end, dzr_end, dd_end)
+                gk[i + 1] = forced(i + 1.0, z_prev, zc, i)
+                F[i] += Q0 @ gk[i] + Qm @ forced(i + 0.5, z_prev, zc, i) + (h / 6.0) * gk[i + 1]
+            Y[i + 1] = P @ Y[i] + F[i]
 
-        intervals_z.append(z_cur)
-        intervals_dz.append(dz_cur)
-        intervals_u.append(u_cur)
-        remaining -= steps
-        r += 1
+        intervals_z.append(Y)
+        intervals_dz.append(Y @ M[:n].T + (g_node + gk)[:, :n])
+        intervals_u.append(reads[: steps + 1] @ FD + Y[:, :n] @ law.F0.T + c[: steps + 1])
 
     # junctions carry the right derivative and the matching input
     z = np.concatenate([intervals_z[1][:1]] + [zs[1:] for zs in intervals_z[1:]])
     dz = np.concatenate([dzs[:-1] for dzs in intervals_dz[1:]] + [intervals_dz[-1][-1:]])
     u = np.concatenate([us[:-1] for us in intervals_u] + [intervals_u[-1][-1:]])
-    return Trajectory(
-        h=h, t=np.arange(n_steps + 1) / q, z=z[:, :n], dz=dz[:, :n], u=u, v0=v0
-    )
+    return Trajectory(h=h, t=np.arange(n_steps + 1) / q, z=z[:, :n], dz=dz, u=u, v0=v0)
 
 
 def simulate(
@@ -323,10 +322,11 @@ def simulate(
     """Integrate the open-loop equation from the given initial segment.
 
     `control` is None (zero input), a callable t -> u(t), or a constant
-    input vector.  The step must divide the unit delay exactly and the
+    input vector.  A callable is called once per grid node and half-step of
+    each unit interval.  The step must divide the unit delay exactly and the
     horizon must be a multiple of the step.
     """
-    return _simulate_core(sys, history, _make_control(sys, control), horizon, step)
+    return _simulate_core(sys, history, zero_law(sys), control, horizon, step)
 
 
 def simulate_closed_loop(
@@ -342,7 +342,7 @@ def simulate_closed_loop(
         raise ValueError(
             f"feedback gains have shape {law.F_minus1.shape}, expected ({sys.m}, {sys.n})"
         )
-    return _simulate_core(sys, history, _law_control(law), horizon, step)
+    return _simulate_core(sys, history, law, None, horizon, step)
 
 
 def estimate_decay(traj: Trajectory, window) -> float:

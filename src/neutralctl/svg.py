@@ -113,23 +113,25 @@ def _polyline(fr, xs, ys, color):
 
 def trajectory_svg(traj) -> str:
     """Log-scale norm of the state over time plus the state components."""
-    norms = [math.sqrt(sum(v * v for v in row)) for row in traj.z]
+    # squares summed column by column, in the order of a row-wise sum
+    sq = traj.z[:, 0] * traj.z[:, 0]
+    for j in range(1, traj.z.shape[1]):
+        sq = sq + traj.z[:, j] * traj.z[:, j]
     floor = 1e-16
-    lognorms = [math.log10(max(x, floor)) for x in norms]
-    t = list(traj.t)
-    y_all = list(lognorms)
-    fr = _Frame(t[0], t[-1], min(y_all), max(y_all))
+    lognorms = np.array([math.log10(max(math.sqrt(s), floor)) for s in sq.tolist()])
+    lo, hi = lognorms.min(), lognorms.max()
+    t = traj.t.tolist()
+    fr = _Frame(t[0], t[-1], lo, hi)
     body = _axis_labels(fr)
     body += _polyline(fr, t, lognorms, "black")
     body += (
         f'<text x="{_W - _MARGIN}" y="{_MARGIN - 6}" text-anchor="end" font-size="11" '
         f'font-family="sans-serif">log10 ||z(t)|| (black), components rescaled (colors)</text>\n'
     )
-    span = max(y_all) - min(y_all) or 1.0
-    lo = min(y_all)
+    span = hi - lo or 1.0
     for j in range(traj.z.shape[1]):
         comp = traj.z[:, j]
-        c_lo, c_hi = float(min(comp)), float(max(comp))
+        c_lo, c_hi = comp.min(), comp.max()
         width = (c_hi - c_lo) or 1.0
         scaled = lo + (comp - c_lo) / width * span
         body += _polyline(fr, t, scaled, _COLORS[j % len(_COLORS)])

@@ -174,3 +174,16 @@ def test_outputs_byte_identical_across_thread_counts(ex5_file, kernel_file, tmp_
 
     for artifact in ("roots.csv", "verdict.json", "trajectory.csv", "trajectory.svg"):
         assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()
+
+
+def test_simulate_rejects_non_finite_history(ex3_file, tmp_path, capsys):
+    theta = -1.0 + np.arange(101) / 100
+    z = np.stack([theta + 1.0, np.ones_like(theta)], 1)
+    z[40, 0] = np.nan
+    hist = tmp_path / "history.json"
+    hist.write_text(json.dumps({"z": z.tolist()}))  # json writes the literal NaN
+    out = tmp_path / "out"
+    code = run("simulate", "--system", str(ex3_file), "--history", str(hist), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: history z[40, 0] = nan")
+    assert not (out / "trajectory.csv").exists()

@@ -316,3 +316,107 @@ def test_initial_derivative_jump_recorded(ex3):
     traj = simulate(ex3, hist, horizon=1.0, step=0.02)
     # dz1(0+) = dz2(-1) + z2(0) = 0 + 1, not the history slope 5
     assert abs(traj.dz[0, 0] - 1.0) < 1e-12
+
+
+def _random_loop(rng, n, m, kernels=()):
+    s = 1.0 / np.sqrt(n)
+    sys = NeutralSystem(
+        n=n, m=m, p=0, A_minus1=0.4 * s * rng.standard_normal((n, n)),
+        A0=s * rng.standard_normal((n, n)), A1=0.5 * s * rng.standard_normal((n, n)),
+        B=rng.standard_normal((n, m)), kernels=kernels,
+    )
+    law = FeedbackLaw(*(0.3 * s * rng.standard_normal((m, n)) for _ in range(3)))
+    freq = rng.uniform(0.5, 3.0, n)
+    hist = History.from_function(
+        lambda th: np.cos(freq * th), 20, dfn=lambda th: -freq * np.sin(freq * th)
+    )
+    return sys, law, hist
+
+
+def test_closed_loop_law_bit_identical_to_applied_feedback():
+    # the gains fold into the coefficients by the same float expressions as
+    # apply_feedback, so the two runs take the same steps bit for bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        kernels = ()
+        if seed % 2:
+            A2, A3 = (0.3 * rng.standard_normal((3, 3)) for _ in range(2))
+            kernels = (KernelSegment(-0.5, 0.0, A2, A3),)
+        sys, law, hist = _random_loop(rng, 3, 1, kernels)
+        a = simulate_closed_loop(sys, law, hist, horizon=3.0, step=0.05)
+        b = simulate(apply_feedback(sys, law), hist, horizon=3.0, step=0.05)
+        assert np.array_equal(a.z, b.z) and np.array_equal(a.dz, b.dz), seed
+
+
+def test_callable_control_called_once_per_node_and_half_step(ex5):
+    calls = []
+
+    def control(t):
+        calls.append(t)
+        return np.array([np.sin(t)])
+
+    simulate(ex5, History.constant([1.0, 0.0], 50), control=control, horizon=4.0, step=0.02)
+    # 200 steps over 4 intervals: each interval's nodes and half-steps
+    assert len(calls) <= 2 * 200 + 4
+
+
+def test_callable_control_shape_is_checked(ex5):
+    with pytest.raises(ValueError, match=r"shape \(1,\)"):
+        simulate(ex5, History.constant([1.0, 0.0], 50), control=lambda t: np.zeros(2),
+                 horizon=1.0, step=0.02)
+
+
+def _stagewise_closed_loop(sys, law, hist, intervals):
+    # classical RK4 written stage by stage: delayed reads at half-steps by
+    # the cubic midpoint stencil, one-sided in the first and last panel
+    q = hist.q
+    h = 1.0 / q
+    w = {"left": np.array([5, 15, -5, 1]), "center": np.array([-1, 9, 9, -1]),
+         "right": np.array([1, -5, 15, 5])}
+
+    def mid(arr, i):
+        lo, kind = (0, "left") if i == 0 else (q - 3, "right") if i == q - 1 else (i - 1, "center")
+        return w[kind] @ arr[lo : lo + 4] / 16.0
+
+    def f(y, zr, dzr):
+        u = law.F_minus1 @ dzr + law.F0 @ y + law.F1 @ zr
+        return sys.A_minus1 @ dzr + sys.A0 @ y + sys.A1 @ zr + sys.B @ u
+
+    zp, dzp = hist.z, hist.dz
+    y = zp[-1]
+    out = [y]
+    for _ in range(intervals):
+        zc, dzc = [y], [f(y, zp[0], dzp[0])]
+        for i in range(q):
+            zm, dzm = mid(zp, i), mid(dzp, i)
+            k1 = f(y, zp[i], dzp[i])
+            k2 = f(y + 0.5 * h * k1, zm, dzm)
+            k3 = f(y + 0.5 * h * k2, zm, dzm)
+            k4 = f(y + h * k3, zp[i + 1], dzp[i + 1])
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            zc.append(y)
+            dzc.append(f(y, zp[i + 1], dzp[i + 1]))
+        zp, dzp = np.array(zc), np.array(dzc)
+        out.extend(zc[1:])
+    return np.array(out)
+
+
+def test_closed_loop_matches_stagewise_rk4():
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        sys, law, hist = _random_loop(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+        traj = simulate_closed_loop(sys, law, hist, horizon=5.0, step=0.05)
+        ref = _stagewise_closed_loop(sys, law, hist, 5)
+        assert np.max(np.abs(traj.z - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref))), seed
+
+
+def test_history_rejects_non_finite_samples():
+    z = np.ones((21, 2))
+    z[5, 1] = np.nan
+    with pytest.raises(ValueError, match=r"z\[5, 1\] = nan"):
+        History.from_samples(z, 20)
+    with pytest.raises(ValueError, match=r"dz\[0, 0\] = inf"):
+        History(q=20, z=np.ones((21, 2)), dz=np.full((21, 2), np.inf))
+    # too few samples for finite differences is a grid error, never garbage
+    with pytest.raises(HistoryGridMismatch):
+        History.from_samples(np.ones((2, 1)), 1)

@@ -1,0 +1,44 @@
+import math
+
+import numpy as np
+import pytest
+
+from neutralctl import Trajectory
+from neutralctl.svg import (
+    _COLORS, _MARGIN, _W, _axis_labels, _document, _Frame, _polyline, trajectory_svg,
+)
+
+
+def _trajectory_svg_rowwise(traj):
+    # the row-by-row loop that trajectory_svg replaced, kept as its oracle
+    norms = [math.sqrt(sum(v * v for v in row)) for row in traj.z]
+    lognorms = [math.log10(max(x, 1e-16)) for x in norms]
+    t = list(traj.t)
+    fr = _Frame(t[0], t[-1], min(lognorms), max(lognorms))
+    body = _axis_labels(fr)
+    body += _polyline(fr, t, lognorms, "black")
+    body += (
+        f'<text x="{_W - _MARGIN}" y="{_MARGIN - 6}" text-anchor="end" font-size="11" '
+        f'font-family="sans-serif">log10 ||z(t)|| (black), components rescaled (colors)</text>\n'
+    )
+    span = max(lognorms) - min(lognorms) or 1.0
+    lo = min(lognorms)
+    for j in range(traj.z.shape[1]):
+        comp = traj.z[:, j]
+        c_lo, c_hi = float(min(comp)), float(max(comp))
+        width = (c_hi - c_lo) or 1.0
+        body += _polyline(fr, t, lo + (comp - c_lo) / width * span, _COLORS[j % len(_COLORS)])
+    return _document(body, "trajectory")
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_trajectory_svg_matches_rowwise_loop(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        t = np.arange(2001) / 100.0
+        z = rng.standard_normal((t.size, n)) * np.exp(rng.uniform(-40.0, 5.0, (t.size, 1)))
+        z[rng.integers(0, t.size, 20)] = 0.0  # rows under the log floor
+        if n > 1:
+            z[:, 1] = 0.25  # a constant component
+        traj = Trajectory(h=0.01, t=t, z=z, dz=z, u=np.zeros((t.size, 1)), v0=z[0])
+        assert trajectory_svg(traj) == _trajectory_svg_rowwise(traj)
