@@ -6,16 +6,19 @@ samples of the previous interval, with feedback gains folded into M and the
 forcing matrices.  Classical RK4 on it is one affine map per step,
 Y+ = P Y + Q0 g(t) + Qm g(t+h/2) + (h/6) g(t+h), and each interval's forcing
 is one batch: stored rows at the nodes, cubic midpoint stencils at the
-half-steps, and a callable input called once at each.  The stored
-derivative is M Y + g itself, which keeps the neutral term consistent with
-the equation and lets derivative jumps propagate across integer times.
+half-steps, and a callable input called once at each.  With the forcing
+known, a run of steps is a linear recurrence, solved as one prefix scan
+over the affine maps.  The stored derivative is M Y + g itself, which keeps
+the neutral term consistent with the equation and lets derivative jumps
+propagate across integer times.
 
 Kernels need no quadrature: int_a^b A2 dz(t+s) ds telescopes exactly to
 A2 [z(t+b) - z(t+a)], and w(t) = int_a^b z(t+s) ds rides along as state
-with w' = z(t+b) - z(t+a); reads past the previous interval are made step
-by step, from the rows just computed.  Fourth order holds for a history
-compatible with the equation; otherwise derivative jumps at integer times
-limit it.
+with w' = z(t+b) - z(t+a).  A kernel read lags its step by the bound's
+distance from 0, so an interval is cut into blocks short enough that each
+block's reads, one batch of cubic interpolation, land on rows known when it
+starts.  Fourth order holds for a history compatible with the equation;
+otherwise derivative jumps at integer times limit it.
 """
 
 from __future__ import annotations
@@ -124,7 +127,8 @@ class Trajectory:
 
     dz holds right-hand-side values; at integer times it is the right
     derivative, so the jumps a neutral system propagates stay visible.
-    v0 is the sewing value z(0) - A_minus1 z(-1) of the initial state.
+    v0 is the sewing value z(0) - A_minus1 z(-1) of the initial state, with
+    the closed loop's A_minus1 + B F_minus1 under feedback.
     """
 
     h: float
@@ -144,21 +148,13 @@ def _steps_per_unit(step: float) -> int:
     return q
 
 
-def _read_mid(arr, i):
-    # value at node coordinate i + 1/2 of a fully filled array
-    last = arr.shape[0] - 1
-    if i <= 0:
-        return _W_LEFT @ arr[0:4]
-    if i >= last - 1:
-        return _W_RIGHT @ arr[last - 3 : last + 1]
-    return _W_CENTER @ arr[i - 1 : i + 3]
-
-
-def _interp_many(arr, filled, x):
-    """Cubic Lagrange interpolation of rows 0..filled (at least 3) of arr at
-    positions x >= 0; past `filled` the last stencil extrapolates."""
+def _interp_many(arr, filled, x, first=0):
+    """Cubic Lagrange interpolation of rows first..filled of arr at positions
+    x >= 0; past `filled` the last stencil extrapolates, and with fewer than
+    four rows from `first` on it leads in with the rows before `first`.
+    `filled` and `first` may be given per position."""
     x = np.asarray(x, dtype=float)
-    j0 = np.clip(np.floor(x).astype(int) - 1, 0, filled - 3)
+    j0 = np.minimum(np.maximum(np.floor(x).astype(int) - 1, first), filled - 3)
     s = x - j0
     w0 = -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0
     w1 = s * (s - 2.0) * (s - 3.0) / 2.0
@@ -172,24 +168,6 @@ def _interp_many(arr, filled, x):
     )
 
 
-def _read_at(x, z_prev, z_cur, filled):
-    """z at node coordinate x of the previous interval; x past its end reads
-    rows 0..filled of the current one.  Grid nodes and half-steps are stored
-    rows and midpoint stencils, anything else is cubic interpolation."""
-    q = z_prev.shape[0] - 1
-    arr, last = z_prev, q
-    if x > q + 1e-9:
-        arr, last, x = z_cur[: filled + 1], filled, x - q
-        if filled < 3:
-            # too few rows for a cubic stencil: lead in with the previous
-            # interval's last samples
-            arr, last, x = np.vstack((z_prev[q - 3 : q], arr)), filled + 3, x + 3.0
-    k = round(2.0 * x)
-    if abs(2.0 * x - k) <= 1e-9 and k <= 2 * last:
-        return arr[k // 2] if k % 2 == 0 else _read_mid(arr, k // 2)
-    return _interp_many(arr, last, [x])[0]
-
-
 def _history_integral(z, lo, hi):
     """Integral in time of the cubic interpolant of z between node
     coordinates lo and hi, by three Gauss-Legendre points per grid panel."""
@@ -201,8 +179,8 @@ def _history_integral(z, lo, hi):
 
 
 def _mids(arr):
-    """Rows at every half-step of a fully filled array, by the stencils of
-    _read_mid."""
+    """Rows at every half-step of a fully filled array, by the cubic midpoint
+    stencils."""
     w = _W_CENTER
     center = w[0] * arr[:-3] + w[1] * arr[1:-2] + w[2] * arr[2:-1] + w[3] * arr[3:]
     return np.vstack((_W_LEFT @ arr[:4], center, _W_RIGHT @ arr[-4:]))
@@ -234,36 +212,48 @@ def _simulate_core(sys, history, law, control, horizon, step):
     if n_steps < 1 or abs(n_steps * h - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of the step {h}")
 
-    v0 = history.z[-1] - sys.A_minus1 @ history.z[0]
     # the gains fold in as in apply_feedback; AD forces with the delayed
     # reads [dz(t-1), z(t-1)] and FD feeds them back into u
+    A_minus1 = sys.A_minus1 + B @ law.F_minus1
+    v0 = history.z[-1] - A_minus1 @ history.z[0]
     M = sys.A0 + B @ law.F0
-    AD = np.vstack(((sys.A_minus1 + B @ law.F_minus1).T, (sys.A1 + B @ law.F1).T))
+    AD = np.vstack((A_minus1.T, (sys.A1 + B @ law.F1).T))
     FD = np.vstack((law.F_minus1.T, law.F1.T))
     z_hist = history.z
+    block = q  # steps whose forcing is known before the first of them
     if kernels:
-        # segment bounds as node coordinates of the interval before t
-        ends = [(q * (1.0 + seg.a), q * (1.0 + seg.b)) for seg in kernels]
+        # segment bounds as node coordinates of the interval before t; an
+        # upper bound at 0 (hi == q) is folded into M
+        ends = np.array([(q * (1.0 + seg.a), q * (1.0 + seg.b)) for seg in kernels])
+        fold = ends[:, 1] == q
         A2 = np.hstack([seg.A2 for seg in kernels])
         A3 = np.hstack([seg.A3 for seg in kernels])
         # the running integrals w = int_a^b z(t+s) ds ride along as extra
         # state with w' = z(t+b) - z(t+a), which A2 telescopes to; T passes
         # z(t) itself to the segments that end at 0
-        T = np.vstack([np.eye(n) * (hi == q) for _, hi in ends])
+        T = np.vstack([np.eye(n) * f for f in fold])
         M = np.block([[M + A2 @ T, A3], [T, np.zeros((T.shape[0], T.shape[0]))]])
         # only the last history row needs the integrals' start value
         z_hist = np.hstack((z_hist, np.zeros((q + 1, T.shape[0]))))
         z_hist[-1, n:] = np.concatenate([_history_integral(history.z, lo, hi) for lo, hi in ends])
+        # a read lags its step by at least L steps, so the stencils of a
+        # block of floor(L) - 3 steps end at rows known when it starts
+        lag = q - np.where(fold, ends[:, 0], ends[:, 1]).max()
+        block = max(1, math.floor(lag) - 3)
 
-    def forced(s, z_prev, z_cur, filled):
-        # kernel forcing [A2 d; d] with d = z(t+b) - z(t+a) per segment for t
-        # at node coordinate s, leaving out z(t) itself
-        d = np.concatenate([
-            (0.0 if hi == q else _read_at(s + hi, z_prev, z_cur, filled))
-            - _read_at(s + lo, z_prev, z_cur, filled)
-            for lo, hi in ends
-        ])
-        return np.concatenate((A2 @ d, d))
+    def forced(W, s, filled):
+        # kernel forcing [A2 d; d] with d = z(t+b) - z(t+a) per segment,
+        # leaving out z(t) itself, for t at node coordinates s of the interval
+        # that starts at row q of W: a read past row q uses its rows up to
+        # `filled`, led in by the rows before q while it has fewer than four
+        x = (ends.T[:, :, None] + s).ravel()
+        k = np.rint(2.0 * x)
+        x = np.where(np.abs(2.0 * x - k) <= 1e-9, 0.5 * k, x)
+        cur = x > q
+        z = _interp_many(W[:, :n], np.where(cur, filled, q), x, np.where(cur, q, 0))
+        lo, hi = z.reshape(2, len(ends), s.size, n)
+        d = (np.where(fold[:, None, None], 0.0, hi) - lo).transpose(1, 0, 2).reshape(s.size, -1)
+        return np.hstack((d @ A2.T, d))
 
     # RK4 on Y' = M Y + g(t), its four stages regrouped into one affine map:
     # Y+ = P Y + Q0 g(t) + Qm g(t + h/2) + (h/6) g(t + h)
@@ -273,43 +263,60 @@ def _simulate_core(sys, history, law, control, horizon, step):
     P = I + H + H2 / 2.0 + H3 / 6.0 + (H3 @ H) / 24.0
     Q0 = (h / 6.0) * (I + H + H2 / 2.0 + H3 / 4.0)
     Qm = (h / 6.0) * (4.0 * I + 2.0 * H + H2 / 2.0)
+    # the transposed powers P^(2^k) that a scan over one block needs
+    PT = [P.T]
+    while 2 ** len(PT) < block:
+        PT.append(PT[-1] @ PT[-1])
 
-    intervals_z, intervals_dz, intervals_u = [z_hist], [history.dz], []
-    for r, start in enumerate(range(0, n_steps, q)):
+    Z = np.empty((q + n_steps + 1, M.shape[0]))  # the history, then every step
+    Z[: q + 1] = z_hist
+    dz_prev, dzs, us = history.dz, [], []
+    for start in range(0, n_steps, q):
         steps = min(q, n_steps - start)
-        z_prev = intervals_z[-1][:, :n]
+        W = Z[start : start + q + steps + 1]  # the previous interval, then this one
+        Y = W[q:]
         # one batch of delayed reads and inputs: the steps + 1 nodes, then
         # the half-steps
-        reads = np.hstack((intervals_dz[-1], z_prev))
+        reads = np.hstack((dz_prev, W[: q + 1, :n]))
         reads = np.vstack((reads[: steps + 1], _mids(reads)[:steps]))
-        c = _inputs(control, sys.m, (r * q + np.r_[0 : steps + 1, 0.5 : steps]) / q)
+        c = _inputs(control, sys.m, (start + np.r_[0 : steps + 1, 0.5 : steps]) / q)
         g = np.zeros((2 * steps + 1, M.shape[0]))
         g[:, :n] = reads @ AD + c @ B.T
         g_node, g_mid = g[: steps + 1], g[steps + 1 :]
         F = g_node[:-1] @ Q0.T + g_mid @ Qm.T + (h / 6.0) * g_node[1:]
 
-        Y = np.empty((steps + 1, M.shape[0]))
-        Y[0] = intervals_z[-1][-1]
-        zc = Y[:, :n]
-        # kernel reads past the previous interval need the rows just computed
         gk = np.zeros_like(g_node)
         if kernels:
-            gk[0] = forced(0.0, z_prev, zc, 0)
-        for i in range(steps):
+            gk[0] = forced(W, np.zeros(1), q)[0]
+        for i0 in range(0, steps, block):
+            i1 = min(i0 + block, steps)
+            b = i1 - i0
             if kernels:
-                gk[i + 1] = forced(i + 1.0, z_prev, zc, i)
-                F[i] += Q0 @ gk[i] + Qm @ forced(i + 0.5, z_prev, zc, i) + (h / 6.0) * gk[i + 1]
-            Y[i + 1] = P @ Y[i] + F[i]
+                # one batch for the block's later nodes and its half-steps
+                fk = forced(W, np.r_[i0 + 1 : i1 + 1, i0 + 0.5 : i1], q + i0)
+                gk[i0 + 1 : i1 + 1] = fk[:b]
+                F[i0:i1] += gk[i0:i1] @ Q0.T + fk[b:] @ Qm.T + (h / 6.0) * gk[i0 + 1 : i1 + 1]
+            # Y[i+1] = P Y[i] + F[i] over the block as a prefix scan: after
+            # the round with d, S[j] sums P^(j-i) F[i] over j - 2d < i <= j
+            S = F[i0:i1]
+            S[0] += P @ Y[i0]
+            for k in range((b - 1).bit_length()):
+                S[1 << k :] += S[: -(1 << k)] @ PT[k]
+            Y[i0 + 1 : i1 + 1] = S
 
-        intervals_z.append(Y)
-        intervals_dz.append(Y @ M[:n].T + (g_node + gk)[:, :n])
-        intervals_u.append(reads[: steps + 1] @ FD + Y[:, :n] @ law.F0.T + c[: steps + 1])
+        dzs.append(Y @ M[:n].T + (g_node + gk)[:, :n])
+        us.append(reads[: steps + 1] @ FD + Y[:, :n] @ law.F0.T + c[: steps + 1])
+        bad = ~np.isfinite(np.hstack((Y[:, :n], dzs[-1], us[-1]))).all(axis=1)
+        if bad.any():
+            t = (start + np.argmax(bad)) / q
+            raise ValueError(f"the solution overflows: z, dz or u is not finite at t = {t:g}")
+        dz_prev = dzs[-1]
 
     # junctions carry the right derivative and the matching input
-    z = np.concatenate([intervals_z[1][:1]] + [zs[1:] for zs in intervals_z[1:]])
-    dz = np.concatenate([dzs[:-1] for dzs in intervals_dz[1:]] + [intervals_dz[-1][-1:]])
-    u = np.concatenate([us[:-1] for us in intervals_u] + [intervals_u[-1][-1:]])
-    return Trajectory(h=h, t=np.arange(n_steps + 1) / q, z=z[:, :n], dz=dz, u=u, v0=v0)
+    dz = np.concatenate([d[:-1] for d in dzs] + [dzs[-1][-1:]])
+    u = np.concatenate([x[:-1] for x in us] + [us[-1][-1:]])
+    z = Z[q:, :n].copy()  # a view would keep the history rows and w alive
+    return Trajectory(h=h, t=np.arange(n_steps + 1) / q, z=z, dz=dz, u=u, v0=v0)
 
 
 def simulate(

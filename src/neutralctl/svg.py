@@ -105,9 +105,9 @@ _COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
 
 
 def _polyline(fr, xs, ys, color):
-    px = fr.px(np.asarray(xs, dtype=float)).tolist()
-    py = fr.py(np.asarray(ys, dtype=float)).tolist()
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px, py))
+    xy = np.column_stack((fr.px(np.asarray(xs, dtype=float)), fr.py(np.asarray(ys, dtype=float))))
+    # one % operation for all points; "%.2f" rounds exactly as _fmt does
+    pts = ("%.2f,%.2f " * xy.shape[0])[:-1] % tuple(xy.ravel().tolist())
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>\n'
 
 

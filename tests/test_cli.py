@@ -187,3 +187,16 @@ def test_simulate_rejects_non_finite_history(ex3_file, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ValueError: history z[40, 0] = nan")
     assert not (out / "trajectory.csv").exists()
+
+
+def test_simulate_overflow_is_operational_error(tmp_path, capsys):
+    path = tmp_path / "growth.json"
+    path.write_text('{"n":1,"m":1,"A_minus1":[[0]],"A0":[[50]],"A1":[[0]],"B":[[1]]}')
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("simulate", "--system", str(path), "--horizon", "20", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: ValueError: the solution overflows: z, dz or u is not finite at t = 14.13"
+    )
+    assert not (out / "trajectory.csv").exists()

@@ -18,6 +18,9 @@ from neutralctl import (
     trajectory_to_csv,
     zero_law,
 )
+from neutralctl.simulate import (
+    _W_CENTER, _W_LEFT, _W_RIGHT, _history_integral, _interp_many, _mids,
+)
 
 Z2 = np.zeros((2, 2))
 
@@ -318,7 +321,7 @@ def test_initial_derivative_jump_recorded(ex3):
     assert abs(traj.dz[0, 0] - 1.0) < 1e-12
 
 
-def _random_loop(rng, n, m, kernels=()):
+def _random_loop(rng, n, m, kernels=(), q=20):
     s = 1.0 / np.sqrt(n)
     sys = NeutralSystem(
         n=n, m=m, p=0, A_minus1=0.4 * s * rng.standard_normal((n, n)),
@@ -328,7 +331,7 @@ def _random_loop(rng, n, m, kernels=()):
     law = FeedbackLaw(*(0.3 * s * rng.standard_normal((m, n)) for _ in range(3)))
     freq = rng.uniform(0.5, 3.0, n)
     hist = History.from_function(
-        lambda th: np.cos(freq * th), 20, dfn=lambda th: -freq * np.sin(freq * th)
+        lambda th: np.cos(freq * th), q, dfn=lambda th: -freq * np.sin(freq * th)
     )
     return sys, law, hist
 
@@ -408,6 +411,129 @@ def test_closed_loop_matches_stagewise_rk4():
         traj = simulate_closed_loop(sys, law, hist, horizon=5.0, step=0.05)
         ref = _stagewise_closed_loop(sys, law, hist, 5)
         assert np.max(np.abs(traj.z - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref))), seed
+
+
+def test_closed_loop_matches_stagewise_rk4_fine_grid():
+    # 200 steps per block: the prefix scan runs eight rounds
+    for seed in range(5):
+        rng = np.random.default_rng(200 + seed)
+        sys, law, hist = _random_loop(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)), q=200)
+        traj = simulate_closed_loop(sys, law, hist, horizon=5.0, step=1.0 / 200)
+        ref = _stagewise_closed_loop(sys, law, hist, 5)
+        assert np.max(np.abs(traj.z - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref))), seed
+
+
+def _read_mid(arr, i):
+    # value at node coordinate i + 1/2 of a fully filled array
+    last = arr.shape[0] - 1
+    if i <= 0:
+        return _W_LEFT @ arr[0:4]
+    if i >= last - 1:
+        return _W_RIGHT @ arr[last - 3 : last + 1]
+    return _W_CENTER @ arr[i - 1 : i + 3]
+
+
+def _read_at(x, z_prev, z_cur, filled):
+    # z at node coordinate x of the previous interval; x past its end reads
+    # rows 0..filled of the current one
+    q = z_prev.shape[0] - 1
+    arr, last = z_prev, q
+    if x > q + 1e-9:
+        arr, last, x = z_cur[: filled + 1], filled, x - q
+        if filled < 3:
+            arr, last, x = np.vstack((z_prev[q - 3 : q], arr)), filled + 3, x + 3.0
+    k = round(2.0 * x)
+    if abs(2.0 * x - k) <= 1e-9 and k <= 2 * last:
+        return arr[k // 2] if k % 2 == 0 else _read_mid(arr, k // 2)
+    return _interp_many(arr, last, [x])[0]
+
+
+def _stepwise_kernel_loop(sys, law, hist, intervals):
+    # the per-step loop that the block scan replaced, kept as its oracle:
+    # every step reads its kernel forcing from the rows computed before it
+    q, n, B = hist.q, sys.n, sys.B
+    h = 1.0 / q
+    ends = [(q * (1.0 + seg.a), q * (1.0 + seg.b)) for seg in sys.kernels]
+    A2 = np.hstack([seg.A2 for seg in sys.kernels])
+    A3 = np.hstack([seg.A3 for seg in sys.kernels])
+    T = np.vstack([np.eye(n) * (hi == q) for _, hi in ends])
+    M = np.block([[sys.A0 + B @ law.F0 + A2 @ T, A3], [T, np.zeros((T.shape[0], T.shape[0]))]])
+    AD = np.vstack(((sys.A_minus1 + B @ law.F_minus1).T, (sys.A1 + B @ law.F1).T))
+    H = h * M
+    I, H2, H3 = np.eye(M.shape[0]), H @ H, H @ H @ H
+    P = I + H + H2 / 2.0 + H3 / 6.0 + (H3 @ H) / 24.0
+    Q0 = (h / 6.0) * (I + H + H2 / 2.0 + H3 / 4.0)
+    Qm = (h / 6.0) * (4.0 * I + 2.0 * H + H2 / 2.0)
+
+    def forced(s, z_prev, z_cur, filled):
+        d = np.concatenate([
+            (0.0 if hi == q else _read_at(s + hi, z_prev, z_cur, filled))
+            - _read_at(s + lo, z_prev, z_cur, filled)
+            for lo, hi in ends
+        ])
+        return np.concatenate((A2 @ d, d))
+
+    Y = np.hstack((hist.z, np.zeros((q + 1, T.shape[0]))))
+    Y[-1, n:] = np.concatenate([_history_integral(hist.z, lo, hi) for lo, hi in ends])
+    dz_prev, out = hist.dz, [Y[-1, :n]]
+    for _ in range(intervals):
+        z_prev = Y[:, :n]
+        reads = np.hstack((dz_prev, z_prev))
+        g = np.zeros((2 * q + 1, M.shape[0]))
+        g[:, :n] = np.vstack((reads, _mids(reads))) @ AD
+        g_node, g_mid = g[: q + 1], g[q + 1 :]
+        F = g_node[:-1] @ Q0.T + g_mid @ Qm.T + (h / 6.0) * g_node[1:]
+        Y = np.vstack((Y[-1:], np.empty((q, M.shape[0]))))
+        zc = Y[:, :n]
+        gk = np.zeros_like(g_node)
+        gk[0] = forced(0.0, z_prev, zc, 0)
+        for i in range(q):
+            gk[i + 1] = forced(i + 1.0, z_prev, zc, i)
+            F[i] += Q0 @ gk[i] + Qm @ forced(i + 0.5, z_prev, zc, i) + (h / 6.0) * gk[i + 1]
+            Y[i + 1] = P @ Y[i] + F[i]
+        dz_prev = Y @ M[:n].T + (g_node + gk)[:, :n]
+        out.extend(Y[1:, :n])
+    return np.array(out)
+
+
+def test_kernel_loop_matches_stepwise_reads():
+    # a segment ending 1 to 8 steps before 0, on the grid (even seeds) or
+    # off it, with an optional segment just below it, gives blocks of one to
+    # five steps; the off-grid segment ending within one step of 0 (last
+    # seed) gives one-step blocks
+    for q in (20, 40):
+        for seed in range(8):
+            rng = np.random.default_rng(300 + seed)
+            n = int(rng.integers(1, 4))
+            lag = float(rng.integers(1, 9)) if seed % 2 == 0 else rng.uniform(1.0, 8.0)
+            cuts = np.cumsum([-lag / q] + list(-rng.uniform(0.05, 0.25, int(rng.integers(1, 3)))))
+            if seed == 7:
+                cuts = [-0.0037, -0.733]
+            kernels = tuple(
+                KernelSegment(a, b, 0.3 * rng.standard_normal((n, n)), 0.3 * rng.standard_normal((n, n)))
+                for b, a in zip(cuts, cuts[1:])
+            )
+            sys, law, hist = _random_loop(rng, n, 1, kernels, q=q)
+            traj = simulate_closed_loop(sys, law, hist, horizon=3.0, step=1.0 / q)
+            ref = _stepwise_kernel_loop(sys, law, hist, 3)
+            assert np.max(np.abs(traj.z - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref))), (q, seed)
+
+
+def test_closed_loop_v0_uses_closed_loop_A_minus1(ex5):
+    law = FeedbackLaw([[-1.0, 0.0]], np.zeros((1, 2)), np.zeros((1, 2)))
+    hist = History.constant([1.0, 0.0], 20)
+    closed = simulate_closed_loop(ex5, law, hist, horizon=1.0, step=0.05)
+    applied = simulate(apply_feedback(ex5, law), hist, horizon=1.0, step=0.05)
+    # z(0) - (A_minus1 + B F_minus1) z(-1) = (1, 0) - 0 (1, 0)
+    assert np.array_equal(closed.v0, [1.0, 0.0])
+    assert np.array_equal(closed.v0, applied.v0)
+
+
+def test_overflow_raises_naming_first_time():
+    sys = NeutralSystem(n=1, m=1, p=0, A_minus1=[[0]], A0=[[50]], A1=[[0]], B=[[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"not finite at t = 14\.13$"):
+            simulate(sys, History.constant([1.0], 100), horizon=20.0, step=0.01)
 
 
 def test_history_rejects_non_finite_samples():

@@ -42,3 +42,16 @@ def test_trajectory_svg_matches_rowwise_loop(n):
             z[:, 1] = 0.25  # a constant component
         traj = Trajectory(h=0.01, t=t, z=z, dz=z, u=np.zeros((t.size, 1)), v0=z[0])
         assert trajectory_svg(traj) == _trajectory_svg_rowwise(traj)
+
+
+def test_polyline_matches_per_point_format():
+    fr = _Frame(0.0, 1.0, 0.0, 1.0)
+    # -50.003 / 540 lands at pixel -0.003, which prints as -0.00
+    xs = np.array([0.0, -0.0, -50.003 / 540, np.nan, np.inf, -np.inf, 0.005, 0.125, 2.675, 1e300])
+    ys = np.random.default_rng(0).standard_normal(xs.size) * 1e3
+    px, py = fr.px(xs).tolist(), fr.py(ys).tolist()
+    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
+    assert _polyline(fr, xs, ys, "k") == (
+        f'<polyline points="{pts}" fill="none" stroke="k" stroke-width="1.2"/>\n'
+    )
+    assert 'points=""' in _polyline(fr, [], [], "k")
