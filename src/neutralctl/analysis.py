@@ -33,7 +33,7 @@ from .spectrum import (
     DEFAULT_ROOT_TOL,
     SpectrumRegion,
     default_region,
-    delta,
+    delta_many,
     find_roots,
 )
 from .system import NeutralSystem, NoOutputError, transpose_dual
@@ -127,8 +127,9 @@ def check_condition1(
         region = default_region(sys)
     roots = find_roots(sys, region, tol_root)
     witnesses = []
-    for root in roots:
-        M = np.hstack([delta(sys, root.lam), sys.B.astype(complex)])
+    D = delta_many(sys, [root.lam for root in roots]) if roots else []
+    for root, D_root in zip(roots, D):
+        M = np.hstack([D_root, sys.B.astype(complex)])
         rep = numerical_rank(M, tol_rank)
         if rep.rank < sys.n:
             U, _, _ = np.linalg.svd(M)

@@ -6,21 +6,24 @@ The eigenvalues are the zeros of det D(lambda) where
                 - sum over segments [(e^{lambda b} - e^{lambda a}) A2
                                      + phi(lambda; a, b) A3],
 
-with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda continued
-through lambda = 0 by its power series.  Zeros are counted on rectangle
-boundaries by the argument principle and located by adaptive subdivision:
-each search rectangle reads its distinct zeros and their multiplicities off
-its own contour moments (a Hankel pencil and a Vandermonde solve), polishes
-them by multiplicity-aware Newton iteration on the determinant, and is split
-when that fails.  Only the outer contour of a search is hash-perturbed, and
-it is integrated once; each sub-rectangle reuses its parent's edge panels and
-adds one cut line, which gets the same edge-local vanishing-determinant check
-as every edge.  Every coefficient is real, so det D(conj lambda) =
-conj det D(lambda): a contour symmetric about the real axis is integrated on
-its lower half and mirrored, and find_roots searches only above a cut just
-below the real axis and reflects what it finds there.  Each nonzero
-eigenvalue mu of A_minus1 generates a vertical chain of eigenvalues
-approaching ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
+with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda, summed as
+its 6-term power series where |lambda| < _SERIES_CUT.  D and D' are written
+term by term in one function, each term with its weight in D and in D', and a
+segment's two exponentials serve both of its weights.  Zeros are counted on
+rectangle boundaries by the argument principle and located by adaptive
+subdivision: each search rectangle reads its distinct zeros and their
+multiplicities off its own contour moments (a Hankel pencil and a Vandermonde
+solve), polishes them by multiplicity-aware Newton iteration on the
+determinant, and is split when that fails.  Only the outer contour of a
+search is hash-perturbed, and it is integrated once; each sub-rectangle
+reuses its parent's edge panels and adds one cut line, which gets the same
+edge-local vanishing-determinant check as every edge.  Every coefficient is
+real, so det D(conj lambda) = conj det D(lambda): a contour symmetric about
+the real axis is integrated on its lower half and mirrored, and find_roots
+searches only above a cut just below the real axis and reflects what it finds
+there.  Each nonzero eigenvalue mu of A_minus1 generates a vertical chain of
+eigenvalues approaching ln|mu| + i(arg mu + 2 pi k), which this module
+predicts directly.
 """
 
 from __future__ import annotations
@@ -185,56 +188,44 @@ class SpectrumChain:
                 "phase": self.phase, "multiplicity": self.multiplicity}
 
 
-def _phi_many(lam, a, b):
-    # integral of e^{lambda s} over [a, b]; removable singularity at 0.
-    lam = np.asarray(lam, dtype=complex)
-    out = np.empty_like(lam)
+def _phi_many(lam, a, b, ea, eb, deriv):
+    # phi = int_a^b e^{lambda s} ds, or phi' when deriv, from ea = e^{lambda a}
+    # and eb = e^{lambda b}; below _SERIES_CUT the 6-term power series of either
+    if deriv:
+        out = ((b * eb - a * ea) * lam - (eb - ea)) / (lam * lam)
+    else:
+        out = (eb - ea) / lam
     small = np.abs(lam) < _SERIES_CUT
-    big = ~small
-    lb = lam[big]
-    out[big] = (np.exp(lb * b) - np.exp(lb * a)) / lb
-    ls = lam[small]
-    acc = np.zeros_like(ls)
-    for k in range(5, -1, -1):
-        acc = acc * ls + (b ** (k + 1) - a ** (k + 1)) / math.factorial(k + 1)
-    out[small] = acc
+    if small.any():
+        ls = lam[small]
+        acc = np.zeros_like(ls)
+        for k in range(5 + deriv, deriv - 1, -1):  # the coefficient of lambda^(k - deriv)
+            acc = acc * ls + k**deriv * (b ** (k + 1) - a ** (k + 1)) / math.factorial(k + 1)
+        out[small] = acc
     return out
 
 
-def _phi_prime_many(lam, a, b):
-    lam = np.asarray(lam, dtype=complex)
-    out = np.empty_like(lam)
-    small = np.abs(lam) < _SERIES_CUT
-    big = ~small
-    lb = lam[big]
-    eb = np.exp(lb * b)
-    ea = np.exp(lb * a)
-    out[big] = ((b * eb - a * ea) * lb - (eb - ea)) / (lb * lb)
-    ls = lam[small]
-    acc = np.zeros_like(ls)
-    for k in range(6, 0, -1):
-        acc = acc * ls + k * (b ** (k + 1) - a ** (k + 1)) / math.factorial(k + 1)
-    out[small] = acc
-    return out
+def _delta_many(sys, lam, deriv):
+    # D = lambda I - sum of w M, or D' = I - sum of w' M when deriv: one line
+    # per term, with w' if deriv else w
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        E = np.exp(-lam)
+        T = np.eye(sys.n) if deriv else lam * np.eye(sys.n)
+        T = T - ((1.0 - lam) * E if deriv else lam * E) * sys.A_minus1
+        if not deriv:  # A0 drops out of D'
+            T = T - sys.A0
+        T = T - (-E if deriv else E) * sys.A1
+        for seg in sys.kernels:
+            ea, eb = np.exp(lam * seg.a), np.exp(lam * seg.b)
+            T = T - (seg.b * eb - seg.a * ea if deriv else eb - ea) * seg.A2
+            T = T - _phi_many(lam, seg.a, seg.b, ea, eb, deriv) * seg.A3
+    return T
 
 
 def delta_many(sys: NeutralSystem, lam) -> np.ndarray:
     """Characteristic matrices D(lambda) for an array of points, shape (K, n, n)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = np.exp(-lam)
-        eye = np.eye(sys.n)
-        T = (
-            lam[:, None, None] * eye
-            - (lam * E)[:, None, None] * sys.A_minus1
-            - sys.A0
-            - E[:, None, None] * sys.A1
-        )
-        for seg in sys.kernels:
-            c2 = np.exp(lam * seg.b) - np.exp(lam * seg.a)
-            c3 = _phi_many(lam, seg.a, seg.b)
-            T = T - c2[:, None, None] * seg.A2 - c3[:, None, None] * seg.A3
-    return T
+    return _delta_many(sys, lam, False)
 
 
 def delta(sys: NeutralSystem, lam: complex) -> np.ndarray:
@@ -244,20 +235,7 @@ def delta(sys: NeutralSystem, lam: complex) -> np.ndarray:
 
 def delta_derivative_many(sys: NeutralSystem, lam) -> np.ndarray:
     """Analytic derivative D'(lambda) for an array of points."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = np.exp(-lam)
-        eye = np.eye(sys.n)
-        T = (
-            np.broadcast_to(eye, (lam.size, sys.n, sys.n)).astype(complex).copy()
-            - ((1.0 - lam) * E)[:, None, None] * sys.A_minus1
-            + E[:, None, None] * sys.A1
-        )
-        for seg in sys.kernels:
-            c2 = seg.b * np.exp(lam * seg.b) - seg.a * np.exp(lam * seg.a)
-            c3 = _phi_prime_many(lam, seg.a, seg.b)
-            T = T - c2[:, None, None] * seg.A2 - c3[:, None, None] * seg.A3
-    return T
+    return _delta_many(sys, lam, True)
 
 
 def delta_derivative(sys: NeutralSystem, lam: complex) -> np.ndarray:
@@ -265,8 +243,7 @@ def delta_derivative(sys: NeutralSystem, lam: complex) -> np.ndarray:
 
 
 def _det_logderiv_many(sys, lam):
-    T = delta_many(sys, lam)
-    Td = delta_derivative_many(sys, lam)
+    T, Td = delta_many(sys, lam), delta_derivative_many(sys, lam)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = np.linalg.det(T)
         try:
@@ -492,8 +469,9 @@ def _residual(sys, lam):
     # |det| at lam over the largest |det| on four probe points at a local scale
     r = 1e-2 * (1.0 + abs(lam))
     probes = lam + r * np.array([1.0, 1.0j, -1.0, -1.0j])
-    scale = float(np.max(np.abs(np.linalg.det(delta_many(sys, probes)))))
-    here = abs(np.linalg.det(delta(sys, lam)))
+    det = np.linalg.det(delta_many(sys, np.concatenate(([lam], probes))))
+    # a scalar's abs, which can differ in the last bit from np.abs of an array
+    here, scale = abs(det[0]), float(np.max(np.abs(det[1:])))
     return float(here / scale) if scale else 0.0
 
 

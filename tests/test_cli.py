@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,16 @@ def test_simulate_overflow_is_operational_error(tmp_path, capsys):
         "error: ValueError: the solution overflows: z, dz or u is not finite at t = 14.13"
     )
     assert not (out / "trajectory.csv").exists()
+
+
+def test_simulate_overflow_prints_no_numpy_warnings(tmp_path, capsys):
+    # stderr starts with the error itself, not with numpy's overflow warnings
+    path = tmp_path / "growth.json"
+    path.write_text('{"n":1,"m":1,"A_minus1":[[0]],"A0":[[50]],"A1":[[0]],"B":[[1]]}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("simulate", "--system", str(path), "--horizon", "20",
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValueError: the solution overflows")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

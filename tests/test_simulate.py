@@ -80,7 +80,8 @@ def test_fourth_order_on_ode_fixture():
 
 
 def test_neutral_fixture_self_convergence(ex5):
-    # interpolation-limited on genuinely neutral dynamics: at least halving
+    # fourth order on genuinely neutral dynamics, although this history's dz
+    # jumps at t = 0: the error falls by about 14 when q doubles
     def run(q):
         hist = History.from_function(
             lambda th: np.array([np.sin(th), np.cos(th)]), q,
@@ -91,7 +92,7 @@ def test_neutral_fixture_self_convergence(ex5):
     ref = run(320)
     e1 = np.max(np.abs(run(20).z[::2] - ref.z[::32]))
     e2 = np.max(np.abs(run(40).z[::4] - ref.z[::32]))
-    assert e1 / e2 >= 2.0
+    assert e1 / e2 >= 8.0
 
 
 def test_closed_loop_zero_law_bit_identical(ex5):
@@ -527,6 +528,12 @@ def test_closed_loop_v0_uses_closed_loop_A_minus1(ex5):
     # z(0) - (A_minus1 + B F_minus1) z(-1) = (1, 0) - 0 (1, 0)
     assert np.array_equal(closed.v0, [1.0, 0.0])
     assert np.array_equal(closed.v0, applied.v0)
+
+
+def test_closed_loop_rejects_gains_of_the_wrong_shape(ex5):
+    law = FeedbackLaw(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"shape \(1, 3\), expected \(1, 2\)"):
+        simulate_closed_loop(ex5, law, History.constant([1.0, 0.0], 20), horizon=1.0, step=0.05)
 
 
 def test_overflow_raises_naming_first_time():

@@ -123,19 +123,73 @@ def test_delta_derivative_matches_finite_differences(case, ex5):
         assert np.max(np.abs(fd - an)) / scale < 1e-8
 
 
-def test_kernel_series_continuity():
-    # the series branch agrees with the closed form just inside the cut
-    from neutralctl.spectrum import _phi_many, _phi_prime_many
+def _mp_phi(lam, a, b):
+    # phi(lambda; a, b) and phi'(lambda; a, b) in the working precision of mpmath
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    if lam == 0:
+        return b - a, (b * b - a * a) / 2
+    eb, ea = mpmath.exp(lam * b), mpmath.exp(lam * a)
+    return (eb - ea) / lam, ((b * eb - a * ea) * lam - (eb - ea)) / lam**2
 
-    lam = 0.99e-4 + 0.3e-4j  # below the cut, series branch active
+
+def test_kernel_series_continuity():
+    # the power series below the cut against 40-digit phi and phi'
+    from neutralctl.spectrum import _SERIES_CUT, _phi_many
+
+    lam = np.array([0.7e-4 + 0.3e-4j])
+    assert abs(lam[0]) < _SERIES_CUT  # series branch active
     for a, b in ((-0.8, -0.3), (-0.2, 0.0), (-1.0, 0.0)):
-        series = _phi_many(np.array([lam]), a, b)[0]
-        direct = (np.exp(lam * b) - np.exp(lam * a)) / lam
-        assert abs(series - direct) < 1e-14
-        series = _phi_prime_many(np.array([lam]), a, b)[0]
-        direct = ((b * np.exp(lam * b) - a * np.exp(lam * a)) * lam
-                  - (np.exp(lam * b) - np.exp(lam * a))) / lam**2
-        assert abs(series - direct) < 1e-10
+        ea, eb = np.exp(lam * a), np.exp(lam * b)
+        with mpmath.workdps(40):
+            exact = [complex(x) for x in _mp_phi(mpmath.mpc(complex(lam[0])), a, b)]
+        for deriv in (False, True):
+            series = _phi_many(lam, a, b, ea, eb, deriv)[0]
+            assert abs(series - exact[deriv]) <= 1e-15 * abs(exact[deriv])
+
+
+def _mp_delta_terms(sys, lam):
+    # (matrix, weight in D, weight in D') of every term of D = sum w M, at
+    # 40 digits from the system's float coefficients
+    e = mpmath.exp(-lam)
+    terms = [(np.eye(sys.n), lam, 1), (sys.A_minus1, -lam * e, -(1 - lam) * e),
+             (sys.A0, -1, 0), (sys.A1, -e, e)]
+    for seg in sys.kernels:
+        eb, ea = mpmath.exp(lam * seg.b), mpmath.exp(lam * seg.a)
+        phi, dphi = _mp_phi(lam, seg.a, seg.b)
+        terms += [(seg.A2, -(eb - ea), -(seg.b * eb - seg.a * ea)), (seg.A3, -phi, -dphi)]
+    return terms
+
+
+def kernel_system3():
+    # n = 3 with one short segment that stops just short of 0
+    rng = np.random.default_rng(3)
+    return NeutralSystem(
+        n=3, m=1, p=0,
+        A_minus1=0.3 * rng.standard_normal((3, 3)),
+        A0=rng.standard_normal((3, 3)),
+        A1=0.5 * rng.standard_normal((3, 3)),
+        B=np.ones((3, 1)),
+        kernels=(KernelSegment(-0.733, -0.0037, rng.standard_normal((3, 3)),
+                               rng.standard_normal((3, 3))),),
+    )
+
+
+def test_delta_and_derivative_match_mpmath():
+    # D and D' against 40 digits, below the series cut and above it, within
+    # 1e-13 of the term scale sum |w| ||M|| of each
+    mods = (0.0, 1e-7, 3e-5, 9e-5, 0.1, 1.0, 5.0, 30.0)
+    lams = np.array([r * np.exp(1j * t) for r in mods for t in (0.3, 1.9, 3.5, 5.1)])
+    for sys in (kernel_system(), kernel_system3(), kernel_system4()):
+        D, Dp = delta_many(sys, lams), spectrum.delta_derivative_many(sys, lams)
+        for lam, D_lam, Dp_lam in zip(lams, D, Dp):
+            with mpmath.workdps(40):
+                terms = _mp_delta_terms(sys, mpmath.mpc(complex(lam)))
+                for got, col in ((D_lam, 1), (Dp_lam, 2)):
+                    exact = sum(t[col] * mpmath.matrix(np.asarray(t[0]).tolist()) for t in terms)
+                    err = max(abs(complex(exact[i, j]) - got[i, j])
+                              for i in range(sys.n) for j in range(sys.n))
+                    scale = sum(float(abs(t[col])) * np.linalg.norm(t[0], 2) for t in terms)
+                    assert err <= 1e-13 * scale, (lam, col, err / scale)
 
 
 def test_constant_derivative_kernel_reduces_to_discrete_taps():
