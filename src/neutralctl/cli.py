@@ -9,6 +9,7 @@ operational errors (bad files, invalid parameters, solver failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys as _sys
@@ -42,7 +43,9 @@ EXIT_OPERATIONAL = 1
 EXIT_CONDITION_FAILED = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="neutralctl",
         description="Spectrum, controllability and stabilization analysis of "
@@ -85,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_region(args, sysm):
+    if None not in (args.re_min, args.re_max, args.im_max):
+        return SpectrumRegion(args.re_min, args.re_max, -args.im_max, args.im_max)
     base = spectrum.default_region(sysm)
     re_min = args.re_min if args.re_min is not None else base.re_min
     re_max = args.re_max if args.re_max is not None else base.re_max

@@ -4,7 +4,8 @@ and disk-targeted pole placement.
 
 The staircase is the one place that decides which modes of a pair (A, B) the
 input cannot reach: condition 2 of the analysis and the placement's
-unstabilizable-mode check both read its uncontrollable_modes().
+unstabilizable-mode check both read its uncontrollable_modes(), and the
+chains of the spectrum read the modes of (A_minus1, 0).
 """
 
 from __future__ import annotations
@@ -128,8 +129,13 @@ class Staircase:
     rank_cutoff: float
 
     def uncontrollable_modes(self) -> list[tuple[complex, np.ndarray]]:
-        """(mu, v) for each distinct nonzero eigenvalue mu of the trailing
-        block, sorted by (Re, Im), with v^H [mu I - A, B] = 0.
+        """(mu, v) for each mode of gathered_modes()."""
+        return [(mu, v) for mu, v, _ in self.gathered_modes()]
+
+    def gathered_modes(self) -> list[tuple[complex, np.ndarray, int]]:
+        """(mu, v, size) for each distinct nonzero eigenvalue mu of the
+        trailing block, sorted by (Re, Im), with v^H [mu I - A, B] = 0 and
+        size the number of computed eigenvalues gathered into mu.
 
         The zero eigenvalue is deflated first (Kublanovskaya; Van Dooren,
         LAA 27, 1981): while the block T has singular values at or below
@@ -167,7 +173,7 @@ class Staircase:
             group = near[:size]
             mu = complex(mus[group].mean())
             y = np.conj(Y[:, group[0]]) if size == 1 else np.linalg.svd(T - mu * eye)[0][:, -1]
-            modes.append((mu, P @ y))
+            modes.append((mu, P @ y, size))
             left = [j for j in left if j not in group]
         return sorted(modes, key=lambda mode: (mode[0].real, mode[0].imag))
 

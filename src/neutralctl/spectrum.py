@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import zero_eig_cutoff
+from .linalg import controllable_staircase
 from .system import NeutralSystem
 
 __all__ = [
@@ -650,35 +650,14 @@ def find_roots(
 
 
 def predict_chains(sys: NeutralSystem) -> list[SpectrumChain]:
-    """One chain per nonzero eigenvalue of the neutral coefficient.
-
-    Numerically repeated eigenvalues collapse into a single chain with the
-    repeat count recorded as its multiplicity.
+    """One chain per nonzero eigenvalue of the neutral coefficient: per mode
+    of the staircase of (A_minus1, 0), whose gathered count of computed
+    copies is the chain's multiplicity.
     """
-    eigs = np.linalg.eigvals(sys.A_minus1)
-    cutoff = zero_eig_cutoff(sys.A_minus1)
-    chains = []
-    used = np.zeros(eigs.size, dtype=bool)
-    order = sorted(range(eigs.size), key=lambda i: (eigs[i].real, eigs[i].imag))
-    for i in order:
-        if used[i] or abs(eigs[i]) <= cutoff:
-            continue
-        mu = eigs[i]
-        group = 0
-        for j in order:
-            if not used[j] and abs(eigs[j] - mu) <= 1e-8 * (1.0 + abs(mu)):
-                used[j] = True
-                group += 1
-        chains.append(
-            SpectrumChain(
-                mu=complex(mu),
-                multiplicity=group,
-                abscissa=math.log(abs(mu)),
-                phase=math.atan2(mu.imag, mu.real),
-            )
-        )
-    chains.sort(key=lambda c: (c.abscissa, c.phase))
-    return chains
+    modes = controllable_staircase(sys.A_minus1, np.zeros_like(sys.B)).gathered_modes()
+    chains = [SpectrumChain(mu=mu, multiplicity=size, abscissa=math.log(abs(mu)),
+                            phase=math.atan2(mu.imag, mu.real)) for mu, _, size in modes]
+    return sorted(chains, key=lambda c: (c.abscissa, c.phase))
 
 
 def spectral_right_bound(sys: NeutralSystem) -> float:

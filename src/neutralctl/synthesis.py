@@ -11,12 +11,12 @@ constructing the distributed second-stage feedback that would assign it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import check_condition2
-from .linalg import DEFAULT_RANK_TOL, _placement_ok, pole_place_nonzero
+from .linalg import DEFAULT_RANK_TOL, pole_place_nonzero
 from .spectrum import (
     DEFAULT_ROOT_TOL,
     Root,
@@ -76,10 +76,10 @@ def synthesize_stage1(
     """Choose F_minus1 for decay rate omega and report the residual spectrum.
 
     Controllable modes of A_minus1 go to the `targets` (default all zero).
-    stage1_ok requires every chain left of -omega and an eigensolve of the
-    closed neutral coefficient that passes the placement check of
-    pole_place_nonzero.  Raises Condition2Violated when some nonzero
-    eigenvalue of A_minus1 is immovable.
+    stage1_ok requires every chain left of -omega.  The default region is
+    default_region of the closed loop, reaching at least to -omega - 1.
+    Raises Condition2Violated when some nonzero eigenvalue of A_minus1 is
+    immovable.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -91,12 +91,11 @@ def synthesize_stage1(
     law = FeedbackLaw(F, np.zeros_like(F), np.zeros_like(F))
     inter = apply_feedback(sys, law)
     if region is None:
-        region = default_region(inter)
+        region = _decay_region(inter, omega)
     chains = tuple(predict_chains(inter))
     roots = find_roots(inter, region, tol_root)
     residual = tuple(r for r in roots if r.lam.real >= -omega - 1e-10)
 
-    placed_ok = _placement_ok(sys.A_minus1, sys.B, F, radius, () if targets is None else targets)
     chains_ok = all(c.abscissa < -omega for c in chains)
     margin_ok = all(c.abscissa < -omega - ASYMPTOTIC_MARGIN for c in chains)
     return StabilizationPlan(
@@ -104,7 +103,7 @@ def synthesize_stage1(
         F_minus1=F,
         chains_after=chains,
         residual_roots=residual,
-        stage1_ok=placed_ok and chains_ok,
+        stage1_ok=chains_ok,
         stage2_required=bool(residual),
         asymptotic_margin_ok=margin_ok,
         region=region,
@@ -119,16 +118,21 @@ def verify_decay(
 ):
     """(achieved, abscissa): whether the closed loop decays faster than omega.
 
-    True when the spectral abscissa of the closed loop over the region and
-    every chain abscissa lie strictly left of -omega.
+    True when the spectral abscissa of the closed loop, the larger of its
+    roots in the region and its chain abscissas, lies strictly left of
+    -omega.  The default region is as in synthesize_stage1.
     """
     closed = apply_feedback(sys, law)
     if region is None:
-        region = default_region(closed)
+        region = _decay_region(closed, omega)
     abscissa, _ = spectral_abscissa(closed, region)
-    chains = predict_chains(closed)
-    ok = abscissa < -omega and all(c.abscissa < -omega for c in chains)
-    return ok, abscissa
+    return abscissa < -omega, abscissa
+
+
+def _decay_region(sys: NeutralSystem, omega: float) -> SpectrumRegion:
+    # the default region, widened so that roots with Re >= -omega are seen
+    region = default_region(sys)
+    return replace(region, re_min=min(region.re_min, -omega - 1.0))
 
 
 def plan_to_dict(plan: StabilizationPlan) -> dict:

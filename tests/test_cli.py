@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -5,6 +6,15 @@ import numpy as np
 import pytest
 
 from neutralctl.cli import main
+
+FOUND_JSON = """{
+  "n": 2, "m": 1, "p": 0,
+  "A_minus1": [[0.3, 0.1], [0, -0.2]],
+  "A0": [[-1, 0.2], [0.1, -0.5]],
+  "A1": [[0.1, 0], [0.2, 0.1]],
+  "B": [[1], [0.5]]
+}
+"""
 
 NO_INPUT_JSON = """{
   "n": 2, "m": 1, "p": 0,
@@ -83,6 +93,39 @@ def test_synthesize_example5(ex5_file, tmp_path):
     assert plan["stage1_ok"] is True
     assert plan["stage2_required"] is True
     assert np.allclose(plan["F_minus1"], [[-1.0, 0.0]])
+
+
+def test_synthesize_default_window_deadbeat_loop(tmp_path):
+    f = tmp_path / "found.json"
+    f.write_text(FOUND_JSON)
+    out = tmp_path / "out"
+    code = run("synthesize", "--system", str(f), "--omega", "0.5", "--out", str(out))
+    assert code == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["stage1_ok"] is True
+    assert plan["chains_after"] == []
+
+
+def test_main_twice_builds_parser_once(ex5_file, tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = run("spectrum", "--system", str(ex5_file), "--re-min", "-1", "--re-max", "1",
+               "--im-max", "40", "--out", str(first))
+    assert code == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # the same command without the region flags: none of the first call's
+    # values may carry over
+    code = run("spectrum", "--system", str(ex5_file), "--out", str(second))
+    assert code == 0
+    assert built == []
+    assert (first / "roots.csv").read_text() != (second / "roots.csv").read_text()
+    assert (first / "chains.json").read_text() == (second / "chains.json").read_text()
 
 
 def test_synthesize_condition2_violation_exit_code(tmp_path, capsys):

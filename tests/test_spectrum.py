@@ -537,6 +537,25 @@ def test_predict_chains_collapses_repeats():
     assert chains[0].multiplicity == 2
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_predict_chains_rotated_jordan_block(order):
+    # A_minus1 = Q J Q^T with J one Jordan block at 0.5: eigvals scatters its
+    # copies by about 0.5 eps^(1/order), yet it is one eigenvalue of
+    # algebraic multiplicity `order`, so one chain
+    rng = np.random.default_rng(40 + order)
+    J = 0.5 * np.eye(order) + np.eye(order, k=1)
+    for _ in range(5):
+        Q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+        zero = np.zeros((order, order))
+        sys = NeutralSystem(n=order, m=1, p=0, A_minus1=Q @ J @ Q.T, A0=zero, A1=zero,
+                            B=np.zeros((order, 1)))
+        chains = predict_chains(sys)
+        assert len(chains) == 1
+        assert chains[0].multiplicity == order
+        assert abs(chains[0].mu - 0.5) < 1e-9
+        assert abs(chains[0].abscissa - math.log(0.5)) < 1e-9
+
+
 def test_chain_deviation_decays_like_one_over_k():
     # genuine O(1/k) deviation needs a retarded perturbation of the pure chain
     sys = scalar_system(a_minus1=0.5, a0=0.3)

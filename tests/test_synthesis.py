@@ -6,10 +6,17 @@ import pytest
 from neutralctl import (
     Condition2Violated,
     FeedbackLaw,
+    History,
     NeutralSystem,
     SpectrumRegion,
     apply_feedback,
+    default_region,
+    estimate_decay,
+    find_roots,
     plan_to_dict,
+    pole_place_nonzero,
+    simulate_closed_loop,
+    spectral_abscissa,
     synthesize_stage1,
     verify_decay,
     zero_law,
@@ -17,6 +24,16 @@ from neutralctl import (
 
 Z2 = np.zeros((2, 2))
 REGION = SpectrumRegion(-2, 2, -14, 14)
+
+# deadbeat placement leaves its closed-loop A_minus1 with computed eigenvalues
+# of modulus 1.7e-9, which must not count as chains
+FOUND_SYSTEM = NeutralSystem(
+    n=2, m=1, p=0,
+    A_minus1=[[0.3, 0.1], [0, -0.2]],
+    A0=[[-1, 0.2], [0.1, -0.5]],
+    A1=[[0.1, 0], [0.2, 0.1]],
+    B=[[1], [0.5]],
+)
 
 
 def test_stage1_example5(ex5):
@@ -111,3 +128,63 @@ def test_plan_to_dict_schema(ex5):
     assert payload["stage2_required"] is True
     assert payload["F_minus1"] == plan.F_minus1.tolist()
     assert len(payload["residual_roots"]) == 1
+
+
+def test_stage1_default_window_deadbeat_loop():
+    plan = synthesize_stage1(FOUND_SYSTEM, 0.5)
+    closed = FOUND_SYSTEM.A_minus1 + FOUND_SYSTEM.B @ plan.F_minus1
+    # independent check: the closed neutral coefficient is nilpotent
+    assert np.linalg.norm(closed @ closed) < 1e-12
+    assert plan.chains_after == ()
+    assert plan.stage1_ok
+    assert plan.region.re_min > -3.0
+
+
+def _scalar_fast_root():
+    # deadbeat F_minus1 = -0.4 leaves D(lambda) = lambda + 2.5, one root at -2.5
+    return NeutralSystem(n=1, m=1, p=0, A_minus1=[[0.4]], A0=[[-2.5]], A1=[[0.0]], B=[[1.0]])
+
+
+def test_stage1_default_window_reaches_left_of_omega():
+    plan = synthesize_stage1(_scalar_fast_root(), 3.0)
+    assert np.allclose(plan.F_minus1, [[-0.4]], rtol=0.0, atol=1e-12)
+    assert plan.region.re_min <= -4.0
+    assert [r.multiplicity for r in plan.residual_roots] == [1]
+    assert abs(plan.residual_roots[0].lam + 2.5) < 1e-9
+    assert plan.stage2_required
+
+
+def test_verify_decay_default_window_reaches_left_of_omega():
+    law = FeedbackLaw([[-0.4]], [[0.0]], [[0.0]])
+    ok, abscissa = verify_decay(_scalar_fast_root(), law, 3.0)
+    assert not ok
+    assert abs(abscissa + 2.5) < 1e-9
+
+
+def test_spectral_abscissa_of_deadbeat_loops_matches_simulation():
+    # oracle: the growth rate of a simulated trajectory, which a simple real
+    # rightmost root, well separated from the rest, sets late in the run
+    rng = np.random.default_rng(2024)
+    matched = skipped = 0
+    for _ in range(16):
+        n = int(rng.integers(2, 5))
+        A_minus1, A0, A1 = (0.4 * rng.standard_normal((n, n)) for _ in range(3))
+        sys = NeutralSystem(n=n, m=1, p=0, A_minus1=A_minus1, A0=A0, A1=A1,
+                            B=rng.standard_normal((n, 1)))
+        F = pole_place_nonzero(sys.A_minus1, sys.B, math.exp(-1.0))
+        law = FeedbackLaw(F, np.zeros_like(F), np.zeros_like(F))
+        closed = apply_feedback(sys, law)
+        region = default_region(closed)
+        abscissa, qualifier = spectral_abscissa(closed, region)
+        assert qualifier == "exact"
+        roots = sorted(find_roots(closed, region), key=lambda r: -r.lam.real)
+        top = roots[0]
+        rest = [r.lam.real for r in roots[1:] if r.lam != top.lam.conjugate()]
+        if top.lam.imag != 0.0 or top.multiplicity != 1 or max(rest, default=-9.0) > top.lam.real - 0.5:
+            skipped += 1
+            continue
+        traj = simulate_closed_loop(sys, law, History.constant(np.ones(n), 100), horizon=16.0,
+                                    step=0.01)
+        assert abs(-estimate_decay(traj, (10.0, 16.0)) - abscissa) < 1e-2
+        matched += 1
+    assert matched >= 4, (matched, skipped)
