@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    ZERO_EIG_RTOL,
-    controllable_staircase,
-    numerical_rank,
-)
+from .linalg import DEFAULT_RANK_TOL, controllable_staircase, numerical_rank
 from .spectrum import (
     DEFAULT_ROOT_TOL,
     SpectrumRegion,
@@ -261,11 +256,7 @@ def verdict_to_dict(
             "witnesses": [_witness_to_dict(w) for w in verdict.condition2.witnesses],
         },
         "region": verdict.region.as_dict(),
-        "tolerances": {
-            "rank": tol_rank,
-            "root": tol_root,
-            "zero_eigenvalue_rtol": ZERO_EIG_RTOL,
-        },
+        "tolerances": {"rank": tol_rank, "root": tol_root},
         "coverage_note": (
             "condition 1 tested at all roots inside the region; chain "
             "eigenvalues beyond it are covered heuristically when condition 2 "

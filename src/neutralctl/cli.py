@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, spectrum, svg, synthesis
+from .linalg import PlacementError
 from .simulate import (
     History,
     HistoryGridMismatch,
@@ -87,10 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_region(args, sysm):
+def _resolve_region(args, default):
+    # the region of the three flags, missing bounds taken from default(),
+    # which is not called when all three are given
     if None not in (args.re_min, args.re_max, args.im_max):
         return SpectrumRegion(args.re_min, args.re_max, -args.im_max, args.im_max)
-    base = spectrum.default_region(sysm)
+    base = default()
     re_min = args.re_min if args.re_min is not None else base.re_min
     re_max = args.re_max if args.re_max is not None else base.re_max
     im_max = args.im_max if args.im_max is not None else base.im_max
@@ -110,7 +113,7 @@ def _json_dump(obj) -> str:
 
 def _cmd_spectrum(args) -> int:
     sysm = load_system(args.system)
-    region = _resolve_region(args, sysm)
+    region = _resolve_region(args, functools.partial(spectrum.default_region, sysm))
     roots = spectrum.find_roots(sysm, region, tol=args.tol_root)
     chains = spectrum.predict_chains(sysm)
     outdir = Path(args.out)
@@ -137,7 +140,7 @@ def _cmd_check(args) -> int:
     sysm = load_system(args.system)
     # observability searches the transposed system's spectrum
     basis = transpose_dual(sysm) if kind == "final_observability" else sysm
-    region = _resolve_region(args, basis)
+    region = _resolve_region(args, functools.partial(spectrum.default_region, basis))
     verdict = fn(sysm, region, tol_rank=args.tol_rank, tol_root=args.tol_root)
     payload = analysis.verdict_to_dict(verdict, kind, args.tol_rank, args.tol_root)
     _write(Path(args.out), "verdict.json", _json_dump(payload))
@@ -164,7 +167,9 @@ def _cmd_synthesize(args) -> int:
         raise ValueError("--omega must be positive")
     region = None
     if not (args.re_min is None and args.re_max is None and args.im_max is None):
-        region = _resolve_region(args, sysm)
+        # missing bounds come from the window the synthesis picks without flags
+        region = _resolve_region(args, functools.partial(
+            synthesis._plan_region, sysm, args.omega, args.tol_rank))
     plan = synthesis.synthesize_stage1(
         sysm, args.omega, region, tol_rank=args.tol_rank, tol_root=args.tol_root
     )
@@ -230,6 +235,7 @@ def main(argv=None) -> int:
         StepNotUnitDivisor,
         HistoryGridMismatch,
         SpectrumError,
+        PlacementError,
         FileNotFoundError,
         ValueError,
     ) as e:

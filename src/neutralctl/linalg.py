@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_RANK_TOL",
     "RANK_FLOOR",
-    "ZERO_EIG_RTOL",
     "RankReport",
     "Staircase",
     "UnstabilizableMode",
@@ -27,7 +26,6 @@ __all__ = [
     "kalman_matrix",
     "controllable_staircase",
     "pole_place_nonzero",
-    "zero_eig_cutoff",
 ]
 
 DEFAULT_RANK_TOL = 1e-9
@@ -35,10 +33,6 @@ DEFAULT_RANK_TOL = 1e-9
 # A matrix whose largest singular value is at most RANK_FLOOR is numerically
 # zero and has rank 0, whatever the relative tolerance.
 RANK_FLOOR = 1e-12
-
-# Eigenvalues mu of a matrix A with |mu| <= ZERO_EIG_RTOL * ||A|| count as zero
-# wherever a dichotomy "mu != 0" must be decided in floating point.
-ZERO_EIG_RTOL = 1e-9
 
 
 class UnstabilizableMode(ValueError):
@@ -52,7 +46,16 @@ class UnstabilizableMode(ValueError):
 
 
 class PlacementError(RuntimeError):
-    """Pole placement failed verification after all retry attempts."""
+    """No candidate gain put every computed eigenvalue of A + B F inside the
+    disk.  norm_F and max_eig describe the last candidate (NaN if none could
+    be formed)."""
+
+    def __init__(self, radius, norm_F, max_eig):
+        self.radius, self.norm_F, self.max_eig = float(radius), float(norm_F), float(max_eig)
+        super().__init__(
+            f"no gain puts every computed eigenvalue of A + B F inside radius {self.radius:.6g}; "
+            f"last candidate: ||F|| = {self.norm_F:.6g}, largest |eig| = {self.max_eig:.6g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,23 +65,6 @@ class RankReport:
     rank: int
     singular_values: np.ndarray
     tolerance_used: float
-
-
-def zero_eig_cutoff(A) -> float:
-    nrm = float(np.linalg.norm(A, 2)) if A.size else 0.0
-    return ZERO_EIG_RTOL * nrm
-
-
-def deadbeat_zero_cutoff(M) -> float:
-    """Threshold below which computed eigenvalues count as exact zeros.
-
-    A nilpotent block of order n reports eigenvalues scattered up to about
-    ||M|| * eps^(1/n), far above the plain zero cutoff.
-    """
-    M = np.asarray(M)
-    n = max(M.shape[0], 1)
-    nrm = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    return max(zero_eig_cutoff(M), 8.0 * nrm * float(np.finfo(float).eps) ** (1.0 / n))
 
 
 def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> RankReport:
@@ -257,14 +243,19 @@ def _ackermann(Ac, bc, targets):
 
 
 def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_RANK_TOL):
-    """Gain F such that every eigenvalue of A + B F has modulus < radius,
-    except eigenvalues equal to zero, which may stay at zero.
+    """Gain F such that every computed eigenvalue of A + B F has modulus
+    < radius.
 
     Controllable modes are moved to `targets` (default: all zero, deadbeat),
-    confined to the controllable block of the staircase form.  Raises
-    UnstabilizableMode when a nonzero uncontrollable eigenvalue has modulus
-    >= radius, and PlacementError if the verifying eigensolve rejects every
-    candidate gain.
+    confined to the controllable block of the staircase form.  A candidate is
+    accepted only when max |eigvals(A + B F)| < radius: the computed spectrum
+    is tested, and no condition number bounds how far the exact spectrum of
+    the float A + B F lies from it.  Raises UnstabilizableMode when a nonzero
+    uncontrollable eigenvalue has modulus >= radius, and PlacementError when
+    no candidate passes; a deadbeat loop whose rounding scatter, about
+    ||A + B F|| eps^(1/n), reaches the radius fails too.  The rule is the
+    same when B reaches no mode (F = 0) and for an uncontrollable block the
+    staircase counts as zero.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -277,58 +268,43 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
     mu = max((mu for mu, _ in st.uncontrollable_modes()), key=abs, default=0.0)
     if abs(mu) >= radius:
         raise UnstabilizableMode(mu)
-    zcut = zero_eig_cutoff(A)
     if r == 0:
-        return np.zeros((m, n))
+        # F = 0 is the only gain, under the same rule
+        max_eig = float(np.max(np.abs(np.linalg.eigvals(A)), initial=0.0))
+        if max_eig < radius:
+            return np.zeros((m, n))
+        raise PlacementError(radius, 0.0, max_eig)
     if targets is None:
         targets = [0.0] * r
     targets = sorted((complex(t) for t in targets), key=lambda z: (abs(z), z.real, z.imag))
     if len(targets) != r:
         raise ValueError(f"need exactly {r} placement targets, got {len(targets)}")
-    if any(abs(t) >= radius and abs(t) > zcut for t in targets):
-        raise ValueError("placement targets must lie inside the disk or at zero")
+    if any(abs(t) >= radius for t in targets):
+        raise ValueError("placement targets must lie inside the disk")
     Ac = st.A_t[:r, :r]
     Bc = st.B_t[:r, :]
 
-    candidates = []
-    for attempt in range(24):
-        if m == 1:
-            if attempt > 0:
-                break
-            try:
-                fc = _ackermann(Ac, Bc[:, 0], targets)
-            except np.linalg.LinAlgError:
-                break
-            candidates.append(fc.reshape(1, r))
-        else:
-            rng = np.random.default_rng(1234 + attempt)
-            v = rng.standard_normal(m)
-            v /= np.linalg.norm(v)
-            F0 = np.zeros((m, r)) if attempt == 0 else 0.5 * rng.standard_normal((m, r))
-            A1c = Ac + Bc @ F0
-            b1 = Bc @ v
-            if controllable_staircase(A1c, b1.reshape(r, 1), tol).n_controllable < r:
-                continue
-            try:
-                f = _ackermann(A1c, b1, targets)
-            except np.linalg.LinAlgError:
-                continue
-            candidates.append(F0 + np.outer(v, f))
-        Fc = candidates[-1]
+    # one input direction v and a random pre-feedback F0 per attempt; for
+    # m = 1, v = +-1 and F0 = 0, so the one attempt is Ackermann on (Ac, Bc)
+    norm_F = max_eig = math.nan
+    for attempt in range(24 if m > 1 else 1):
+        rng = np.random.default_rng(1234 + attempt)
+        v = rng.standard_normal(m)
+        v /= np.linalg.norm(v)
+        F0 = np.zeros((m, r)) if attempt == 0 else 0.5 * rng.standard_normal((m, r))
+        A1c = Ac + Bc @ F0
+        b1 = Bc @ v
+        if controllable_staircase(A1c, b1.reshape(r, 1), tol).n_controllable < r:
+            continue
+        try:
+            f = _ackermann(A1c, b1, targets)
+        except np.linalg.LinAlgError:
+            continue
         F = np.zeros((m, n))
-        F[:, :r] = Fc
+        F[:, :r] = F0 + np.outer(v, f)
         F = F @ st.Q.T
-        if _placement_ok(A, B, F, radius, targets):
+        max_eig = float(np.max(np.abs(np.linalg.eigvals(A + B @ F))))
+        if max_eig < radius:
             return F
-    raise PlacementError(
-        f"could not verify any gain placing the controllable spectrum inside radius {radius}"
-    )
-
-
-def _placement_ok(A, B, F, radius, targets):
-    M = A + B @ F
-    eigs = np.linalg.eigvals(M)
-    zcut = deadbeat_zero_cutoff(M)
-    if not all(abs(t) < 1e-12 for t in targets):
-        zcut = zero_eig_cutoff(M)
-    return bool(np.all((np.abs(eigs) < radius) | (np.abs(eigs) <= zcut)))
+        norm_F = float(np.linalg.norm(F, 2))
+    raise PlacementError(radius, norm_F, max_eig)

@@ -317,6 +317,9 @@ def _adaptive_edge(sys, z0, z1, segs=None):
         n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
         segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
     active = np.asarray(segs, dtype=float)
+    if len(active) > _MAX_SEGS:
+        raise QuadratureNotConverged(
+            f"{len(active)} starting panels on edge {z0} -> {z1} exceed the budget of {_MAX_SEGS}")
     end = active[-1, 1]
     old, mags = _gl_batch(sys, z0, z1, active)
     med, min_det = float(np.median(mags)), float(np.min(mags))

@@ -79,17 +79,10 @@ def synthesize_stage1(
     stage1_ok requires every chain left of -omega.  The default region is
     default_region of the closed loop, reaching at least to -omega - 1.
     Raises Condition2Violated when some nonzero eigenvalue of A_minus1 is
-    immovable.
+    immovable, and PlacementError when no gain puts every computed
+    eigenvalue of A_minus1 + B F_minus1 inside the disk of radius e^{-omega}.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    c2 = check_condition2(sys, tol_rank)
-    if not c2.passed:
-        raise Condition2Violated(max((w.lam for w in c2.witnesses), key=abs))
-    radius = math.exp(-omega)
-    F = pole_place_nonzero(sys.A_minus1, sys.B, radius, targets=targets, tol=tol_rank)
-    law = FeedbackLaw(F, np.zeros_like(F), np.zeros_like(F))
-    inter = apply_feedback(sys, law)
+    F, inter = _stage1_loop(sys, omega, targets, tol_rank)
     if region is None:
         region = _decay_region(inter, omega)
     chains = tuple(predict_chains(inter))
@@ -108,6 +101,22 @@ def synthesize_stage1(
         asymptotic_margin_ok=margin_ok,
         region=region,
     )
+
+
+def _plan_region(sys, omega, tol_rank):
+    # the region synthesize_stage1 searches when given none
+    return _decay_region(_stage1_loop(sys, omega, None, tol_rank)[1], omega)
+
+
+def _stage1_loop(sys, omega, targets, tol_rank):
+    # the stage-1 gain F_minus1 and the closed loop it makes
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    c2 = check_condition2(sys, tol_rank)
+    if not c2.passed:
+        raise Condition2Violated(max((w.lam for w in c2.witnesses), key=abs))
+    F = pole_place_nonzero(sys.A_minus1, sys.B, math.exp(-omega), targets=targets, tol=tol_rank)
+    return F, apply_feedback(sys, FeedbackLaw(F, np.zeros_like(F), np.zeros_like(F)))
 
 
 def verify_decay(

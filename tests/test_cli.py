@@ -106,6 +106,40 @@ def test_synthesize_default_window_deadbeat_loop(tmp_path):
     assert plan["chains_after"] == []
 
 
+def test_synthesize_partial_region_flags_use_the_plan_window(tmp_path, capsys):
+    # deadbeat F_minus1 = -0.4 leaves one root at -2.95; the open-loop default
+    # window starts right of it, at -2.92, the closed loop's at -omega - 1
+    f = tmp_path / "fast.json"
+    f.write_text('{"n":1,"m":1,"A_minus1":[[0.4]],"A0":[[-2.95]],"A1":[[0]],"B":[[1]]}')
+    for name, flags in (("default", []), ("partial", ["--im-max", "20"])):
+        out = tmp_path / name
+        code = run("synthesize", "--system", str(f), "--omega", "3", *flags, "--out", str(out))
+        assert code == 0
+        assert "residual eigenvalues with Re >= -3.0: 1" in capsys.readouterr().out
+        plan = json.loads((out / "plan.json").read_text())
+        assert plan["region"]["re_min"] == -4.0
+        (root,) = plan["residual_roots"]
+        assert abs(root["re"] + 2.95) < 1e-9 and root["im"] == 0.0
+
+
+def test_synthesize_unplaceable_gain_is_operational_error(tmp_path, capsys):
+    # no single-input gain puts the computed spectrum of this clustered
+    # neutral coefficient inside e^-2; the old zero cutoff accepted one of
+    # true spectral radius 0.49 and the root search then failed
+    n = 8
+    f = tmp_path / "clustered.json"
+    f.write_text(json.dumps({"n": n, "m": 1, "A_minus1": np.diag(np.linspace(1.1, 2.0, n)).tolist(),
+                             "A0": np.zeros((n, n)).tolist(), "A1": np.zeros((n, n)).tolist(),
+                             "B": np.ones((n, 1)).tolist()}))
+    out = tmp_path / "out"
+    code = run("synthesize", "--system", str(f), "--omega", "2", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PlacementError: ")
+    assert "Traceback" not in err
+    assert not (out / "plan.json").exists()
+
+
 def test_main_twice_builds_parser_once(ex5_file, tmp_path, monkeypatch):
     first, second = tmp_path / "first", tmp_path / "second"
     code = run("spectrum", "--system", str(ex5_file), "--re-min", "-1", "--re-max", "1",

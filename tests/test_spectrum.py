@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from neutralctl import (
     ContourThroughZero,
     KernelSegment,
     NeutralSystem,
+    QuadratureNotConverged,
     SingularAtEvaluationPoint,
     SpectrumRegion,
     count_zeros,
@@ -367,6 +369,27 @@ def test_failing_outer_contour_is_integrated_once(monkeypatch):
     with pytest.raises(ContourThroughZero, match=r"on edge \(-800\.\d+-5\.\d+j\) -> \(-699\."):
         find_roots(scalar_system(a_minus1=0.5), SpectrumRegion(-800, -700, -5, 5))
     assert sum(points) <= 2_000
+
+
+def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):
+    # the root 1e4 stretches the default window's bottom edge to 20,004, so
+    # its starting grid of 25,005 panels exceeds the budget; the edge used to
+    # fail only after 750,150 points and about 190 MB
+    sys = NeutralSystem(n=2, m=1, p=0, A_minus1=Z2, A0=np.diag([1e4, -1.0]), A1=Z2,
+                        B=[[1], [0]])
+    region = default_region(sys)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"^25005 starting panels on edge \(-2\.\d+-63\.\d+j\) -> "
+                                 r"\(20001\.\d+-63\.\d+j\) exceed the budget of 4000$"):
+            count_zeros(sys, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == []
+    assert peak < 2_000_000
 
 
 def _conjugate_closed(roots):
