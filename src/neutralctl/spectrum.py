@@ -13,17 +13,20 @@ segment's two exponentials serve both of its weights.  Zeros are counted on
 rectangle boundaries by the argument principle and located by adaptive
 subdivision: each search rectangle reads its distinct zeros and their
 multiplicities off its own contour moments (a Hankel pencil and a Vandermonde
-solve), polishes them by multiplicity-aware Newton iteration on the
-determinant, and is split when that fails.  Only the outer contour of a
-search is hash-perturbed, and it is integrated once; each sub-rectangle
-reuses its parent's edge panels and adds one cut line, which gets the same
-edge-local vanishing-determinant check as every edge.  Every coefficient is
-real, so det D(conj lambda) = conj det D(lambda): a contour symmetric about
-the real axis is integrated on its lower half and mirrored, and find_roots
-searches only above a cut just below the real axis and reflects what it finds
-there.  Each nonzero eigenvalue mu of A_minus1 generates a vertical chain of
-eigenvalues approaching ln|mu| + i(arg mu + 2 pi k), which this module
-predicts directly.
+solve), polishes them together by multiplicity-aware Newton iteration on the
+determinant, one batch per iteration, and is split when that fails.  Only
+the outer contour of a search is hash-perturbed, and it is integrated once;
+each sub-rectangle reuses its parent's edge panels and adds one cut line,
+which gets the same edge-local vanishing-determinant check as every edge.  A
+contour step (the outer contour's edges, or a cut line with the straddled
+panels of the sides it slices) is one panel loop over all of its edges,
+whose rounds are evaluated in chunks of at most _CHUNK = 120 points.  Every
+coefficient is real, so det D(conj lambda) = conj det D(lambda): a contour
+symmetric about the real axis is integrated on its lower half and mirrored,
+and find_roots searches only above a cut just below the real axis and
+reflects what it finds there.  Each nonzero eigenvalue mu of A_minus1
+generates a vertical chain of eigenvalues approaching
+ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
 """
 
 from __future__ import annotations
@@ -243,15 +246,24 @@ def delta_derivative(sys: NeutralSystem, lam: complex) -> np.ndarray:
 
 
 def _det_logderiv_many(sys, lam):
+    # (det D, trace(D^{-1} D'), singular) per point.  Where LAPACK meets an
+    # exact zero pivot, singular is set and logd is nan; the stacked solve
+    # raises for the whole stack, so such a batch is solved matrix by matrix.
     T, Td = delta_many(sys, lam), delta_derivative_many(sys, lam)
+    singular = np.zeros(len(T), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = np.linalg.det(T)
         try:
             X = np.linalg.solve(T, Td)
-        except np.linalg.LinAlgError as e:
-            raise SingularAtEvaluationPoint(str(e)) from e
+        except np.linalg.LinAlgError:
+            X = np.full_like(Td, np.nan)
+            for j in range(len(T)):
+                try:
+                    X[j] = np.linalg.solve(T[j], Td[j])
+                except np.linalg.LinAlgError:
+                    singular[j] = True
         logd = np.trace(X, axis1=1, axis2=2)
-    return det, logd
+    return det, logd, singular
 
 
 def det_logderiv(sys: NeutralSystem, lam: complex):
@@ -260,7 +272,9 @@ def det_logderiv(sys: NeutralSystem, lam: complex):
     The trace equals (det)'/det by Jacobi's formula.  Raises
     SingularAtEvaluationPoint when D(lambda) is singular.
     """
-    det, logd = _det_logderiv_many(sys, [lam])
+    det, logd, singular = _det_logderiv_many(sys, [lam])
+    if singular[0]:
+        raise SingularAtEvaluationPoint("Singular matrix")
     return complex(det[0]), complex(logd[0])
 
 
@@ -280,74 +294,131 @@ def _edge_error(kind, z0, z1, what, min_det, med):
     return kind(f"{what} on edge {z0} -> {z1} (min |det| {min_det:.3g}, median {med:.3g})")
 
 
-def _gl_batch(sys, z0, z1, segs):
-    # GL10 moments per (a, b) row of segs, a sub-segment of [z0, z1] in its
-    # parameter, with the |det| node magnitudes for the floor checks.
-    a = segs[:, 0][:, None]
-    hw = 0.5 * (segs[:, 1] - segs[:, 0])[:, None]
-    z = z0 + (a + (_GL_NODES + 1.0) * hw).ravel() * (z1 - z0)
-    try:
-        det, logd = _det_logderiv_many(sys, z)
-    except SingularAtEvaluationPoint:
-        raise ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}") from None
-    vals = (_GL_WEIGHTS * logd.reshape(-1, 10)) @ _XI_POW * (hw * (z1 - z0))
-    mags = np.abs(det)
-    if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
-        lo, med = float(np.min(mags)), float(np.median(mags))
-        raise _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
-    return vals, mags
-
-
 # Edge integrals aim below this absolute error so that the total winding
 # estimate is reliably within 0.25 of the true integer.
 _EDGE_BUDGET = 0.47 / 4.0
 _MIN_SEG = 1e-12
 _MAX_SEGS = 4000
+# Points per _det_logderiv_many call: a quadrature round is evaluated in
+# chunks of at most this many, which bounds the largest D batch in memory.
+_CHUNK = 120
 # A cut this close (in side parameter) to a panel boundary reuses the boundary.
 _SNAP = 1e-12
 
 
-def _adaptive_edge(sys, z0, z1, segs=None):
-    # Panel-adaptive quadrature of logderiv along one edge: each panel is
-    # halved until the halved count agrees with the coarse one, which fails
-    # to terminate only when a zero of det sits (numerically) on the edge.
-    # The starting panels are (a, b) parameter rows, by default a uniform
-    # grid.  Returns the side and the median and smallest node |det|.
-    if segs is None:
-        n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
-        segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
-    active = np.asarray(segs, dtype=float)
-    if len(active) > _MAX_SEGS:
-        raise QuadratureNotConverged(
-            f"{len(active)} starting panels on edge {z0} -> {z1} exceed the budget of {_MAX_SEGS}")
-    end = active[-1, 1]
-    old, mags = _gl_batch(sys, z0, z1, active)
-    med, min_det = float(np.median(mags)), float(np.min(mags))
-    done_a, done_val = [], []
-    processed = len(active)
-    while len(active):
-        a, b = active[:, 0], active[:, 1]
-        m = 0.5 * (a + b)
-        halves = np.column_stack([a, m, m, b]).reshape(-1, 2)
-        vals, mags = _gl_batch(sys, z0, z1, halves)
-        min_det = min(min_det, float(np.min(mags)))
-        if min_det <= 1e-12 * med:
-            raise _edge_error(ContourThroughZero, z0, z1, "det D vanishes", min_det, med)
-        fine = vals[0::2] @ _FROM_LO + vals[1::2] @ _FROM_HI
-        err = np.abs(fine[:, 0] - old[:, 0])
-        tiny = (b - a) <= _MIN_SEG
-        ok = tiny | (err <= _EDGE_BUDGET * (b - a))
-        done_a.append(a[ok])
-        done_val.append(fine[ok])
-        again = np.repeat(~ok, 2)
-        active, old = halves[again], vals[again]
-        processed += len(active)
-        if processed > _MAX_SEGS or np.any(tiny & (err > _EDGE_BUDGET)):
-            raise _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle", min_det, med)
-    a = np.concatenate(done_a)
-    order = np.argsort(a)
-    side = _Side(z0, z1, np.append(a[order], end), np.concatenate(done_val)[order])
-    return side, med, min_det
+class _Edge:
+    # One edge of _adaptive_edges: the panels (a, b) in its parameter still
+    # to settle, the GL10 panels to evaluate next (the starting ones, then
+    # their halves) and the coarse moments of the active ones; side or error
+    # once it has finished.  The starting panels default to a uniform grid.
+
+    def __init__(self, z0, z1, segs=None):
+        if segs is None:
+            n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
+            segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
+        self.z0, self.z1 = z0, z1
+        self.active = self.pending = np.asarray(segs, dtype=float)
+        self.end = self.active[-1, 1]
+        self.old = self.side = self.error = None
+        self.done_a, self.done_val = [], []
+        self.processed = len(self.active)
+        if len(self.active) > _MAX_SEGS:
+            self.error = QuadratureNotConverged(
+                f"{len(self.active)} starting panels on edge {z0} -> {z1} exceed the budget of "
+                f"{_MAX_SEGS}")
+
+    def nodes(self):
+        a = self.pending[:, 0][:, None]
+        hw = 0.5 * (self.pending[:, 1] - self.pending[:, 0])[:, None]
+        return self.z0 + (a + (_GL_NODES + 1.0) * hw).ravel() * (self.z1 - self.z0)
+
+    def take(self, det, logd, singular):
+        # The round's node values: the pending panels' moments, the checks on
+        # |det|, and the halves of the panels that did not settle.
+        z0, z1 = self.z0, self.z1
+        if singular.any():
+            self.error = ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
+            return
+        hw = 0.5 * (self.pending[:, 1] - self.pending[:, 0])[:, None]
+        vals = (_GL_WEIGHTS * logd.reshape(-1, 10)) @ _XI_POW * (hw * (z1 - z0))
+        mags = np.abs(det)
+        if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
+            lo, med = float(np.min(mags)), float(np.median(mags))
+            self.error = _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
+            return
+        if self.old is None:
+            self.old = vals
+            self.med, self.min_det = float(np.median(mags)), float(np.min(mags))
+        else:
+            self.min_det = min(self.min_det, float(np.min(mags)))
+            if self.min_det <= 1e-12 * self.med:
+                self.error = _edge_error(ContourThroughZero, z0, z1, "det D vanishes",
+                                         self.min_det, self.med)
+                return
+            a, b = self.active[:, 0], self.active[:, 1]
+            fine = vals[0::2] @ _FROM_LO + vals[1::2] @ _FROM_HI
+            err = np.abs(fine[:, 0] - self.old[:, 0])
+            tiny = (b - a) <= _MIN_SEG
+            ok = tiny | (err <= _EDGE_BUDGET * (b - a))
+            self.done_a.append(a[ok])
+            self.done_val.append(fine[ok])
+            again = np.repeat(~ok, 2)
+            self.active, self.old = self.pending[again], vals[again]
+            self.processed += len(self.active)
+            if self.processed > _MAX_SEGS or np.any(tiny & (err > _EDGE_BUDGET)):
+                self.error = _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle",
+                                         self.min_det, self.med)
+                return
+        if len(self.active):
+            a, b = self.active[:, 0], self.active[:, 1]
+            m = 0.5 * (a + b)
+            self.pending = np.column_stack([a, m, m, b]).reshape(-1, 2)
+        else:
+            a = np.concatenate(self.done_a)
+            order = np.argsort(a)
+            self.side = _Side(z0, z1, np.append(a[order], self.end),
+                              np.concatenate(self.done_val)[order])
+
+
+def _adaptive_edges(sys, edges):
+    # Panel-adaptive quadrature of logderiv along the edges (z0, z1) or
+    # (z0, z1, starting panels) together: each panel is halved until the
+    # halved count agrees with the coarse one, which fails to terminate only
+    # when a zero of det sits (numerically) on the edge.  Each round
+    # evaluates the pending panels of every edge in one loop of chunks.  An
+    # edge that fails stops alone; the first failed edge is raised once the
+    # edges before it have finished, as if they ran one after another.
+    # Returns (side, median node |det|, smallest node |det|) per edge.
+    runs = [_Edge(*edge) for edge in edges]
+    while True:
+        live = []
+        for run in runs:
+            if run.error is not None:
+                if not live:
+                    raise run.error
+                break
+            if run.side is None:
+                live.append(run)
+        if not live:
+            return [(run.side, run.med, run.min_det) for run in runs]
+        _quadrature_round(sys, live)
+
+
+def _quadrature_round(sys, live):
+    # One round of _adaptive_edges: the pending nodes of the live edges, in
+    # order, in _det_logderiv_many calls of at most _CHUNK points, and each
+    # edge's share of the values handed to it
+    z = np.concatenate([run.nodes() for run in live])
+    det, logd = np.empty_like(z), np.empty_like(z)
+    singular = np.empty(len(z), dtype=bool)
+    for i in range(0, len(z), _CHUNK):
+        part = slice(i, i + _CHUNK)
+        det[part], logd[part], singular[part] = _det_logderiv_many(sys, z[part])
+    at = 0
+    for run in live:
+        part = slice(at, at + len(_GL_NODES) * len(run.pending))
+        run.take(det[part], logd[part], singular[part])
+        at = part.stop
 
 
 def _side_ends(rect):
@@ -367,6 +438,9 @@ def _moments(sides, c=0.0, rho=1.0, P=1):
     # panels lie on a rectangle of centre c and half-diagonal rho.
     total = np.zeros(P, dtype=complex)
     for side, sign in zip(sides, (1.0, 1.0, -1.0, -1.0)):
+        if P == 1:  # the shift is 1; summed in panel order, as the einsum below
+            total += sign * np.einsum("j->", side.val[:, 0])
+            continue
         d = (side.z1 - side.z0) / rho
         alpha = (side.z0 - c) / rho + 0.5 * (side.t[:-1] + side.t[1:]) * d
         beta = 0.5 * np.diff(side.t) * d
@@ -423,14 +497,12 @@ def _outer_contour(sys, region):
     ends = _side_ends(rect)
     if region.im_min == -region.im_max:
         sw, se = ends[0]
-        (bottom, *b), (right, *r), (left, *l) = [
-            _adaptive_edge(sys, z0, z1)
-            for z0, z1 in ((sw, se), (se, complex(se.real, 0.0)), (sw, complex(sw.real, 0.0)))
-        ]
+        (bottom, *b), (right, *r), (left, *l) = _adaptive_edges(
+            sys, [(sw, se), (se, complex(se.real, 0.0)), (sw, complex(sw.real, 0.0))])
         top = _Side(*ends[2], bottom.t, bottom.val.conj())
         edges = [(bottom, *b), (_mirror_half(right), *r), (top, *b), (_mirror_half(left), *l)]
     else:
-        edges = [_adaptive_edge(sys, z0, z1) for z0, z1 in ends]
+        edges = _adaptive_edges(sys, ends)
     sides, meds, lows = zip(*edges)
     # cross-edge floor: the smallest |det| of any side against the largest median
     low = int(np.argmin(lows))
@@ -462,40 +534,64 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     QuadratureNotConverged, each naming the edge.  On a rectangle symmetric
     about the real axis only the bottom edge and the lower halves of the
     vertical sides are integrated; the rest is their mirror image, since
-    det D(conj lambda) = conj det D(lambda).  find_roots integrates this
-    outer contour once; its sub-rectangles reuse it plus one cut line each.
+    det D(conj lambda) = conj det D(lambda).  The integrated edges share one
+    panel loop: each halving round evaluates all of their pending panels,
+    in chunks of at most 120 points, and the first failing edge in order is
+    reported.  find_roots integrates this outer contour once; its
+    sub-rectangles reuse it plus one cut line each.
     """
     return _outer_contour(sys, region)[0]
 
 
-def _residual(sys, lam):
-    # |det| at lam over the largest |det| on four probe points at a local scale
-    r = 1e-2 * (1.0 + abs(lam))
-    probes = lam + r * np.array([1.0, 1.0j, -1.0, -1.0j])
-    det = np.linalg.det(delta_many(sys, np.concatenate(([lam], probes))))
-    # a scalar's abs, which can differ in the last bit from np.abs of an array
-    here, scale = abs(det[0]), float(np.max(np.abs(det[1:])))
-    return float(here / scale) if scale else 0.0
+def _residuals(sys, lams):
+    # per point, |det| there over the largest |det| on four probe points at a
+    # local scale: every point and probe in one delta_many call
+    pts = []
+    for lam in lams:
+        r = 1e-2 * (1.0 + abs(lam))
+        pts += [[lam], lam + r * np.array([1.0, 1.0j, -1.0, -1.0j])]
+    det = np.linalg.det(delta_many(sys, np.concatenate(pts)))
+    out = []
+    for i in range(0, len(det), 5):
+        # a scalar's abs, which can differ in the last bit from np.abs of an array
+        here, scale = abs(det[i]), float(np.max(np.abs(det[i + 1 : i + 5])))
+        out.append(float(here / scale) if scale else 0.0)
+    return out
 
 
-def _newton(sys, lam, mult):
-    # Multiplicity-aware Newton.  For multiple roots |det| bottoms out at the
-    # cancellation noise of the matrix entries, so it stops at the first step
-    # that does not lower |det|: (best point or None, iterations).
-    best, best_mag = None, math.inf
+def _newton(sys, starts, mults):
+    # Multiplicity-aware Newton from every start at once, one batch per
+    # iteration.  For multiple roots |det| bottoms out at the cancellation
+    # noise of the matrix entries, so each start stops at its first step
+    # that does not lower |det|, and one whose D is singular stops there:
+    # (best point or None, iterations) per start.  The update is Python's
+    # complex division, whose rounding numpy's does not share.
+    lam = [complex(z) for z in starts]
+    best, best_mag = [None] * len(lam), [math.inf] * len(lam)
+    out = [None] * len(lam)
+    live = list(range(len(lam)))
     for iterations in range(1, 61):
-        try:
-            det, logd = det_logderiv(sys, lam)
-        except SingularAtEvaluationPoint:
-            return lam, iterations
-        mag = abs(det)
-        if not mag < best_mag:
-            break
-        best, best_mag = lam, mag
-        if mag == 0.0 or not np.isfinite(logd):
-            break
-        lam = lam - mult / logd
-    return best, iterations
+        det, logd, singular = _det_logderiv_many(sys, [lam[j] for j in live])
+        going = []
+        for j, dj, gj, sj in zip(live, det, logd, singular):
+            mag = abs(complex(dj))
+            if sj:
+                out[j] = lam[j], iterations
+            elif not mag < best_mag[j]:
+                out[j] = best[j], iterations
+            else:
+                best[j], best_mag[j] = lam[j], mag
+                if mag == 0.0 or not np.isfinite(gj):
+                    out[j] = best[j], iterations
+                else:
+                    lam[j] = lam[j] - mults[j] / complex(gj)
+                    going.append(j)
+        live = going
+        if not live:
+            return out
+    for j in live:
+        out[j] = best[j], 60
+    return out
 
 
 def _node_roots(sys, rect, count, sides, tol):
@@ -503,9 +599,10 @@ def _node_roots(sys, rect, count, sides, tol):
     # of S_0 .. S_2k-1, k = min(count, _P // 2), cut at its numerical rank d,
     # gives the d distinct zeros unless d = k < count, and a Vandermonde
     # solve their multiplicities, positive integers adding up to count.
-    # Newton from each estimate must stay in the node and nearest its own
-    # estimate, and pass the residual test.  A root is real if its conjugate
-    # also lies in the node nearest its own estimate.
+    # Newton, run from all estimates together, must leave each in the node
+    # and nearest its own estimate, and each must pass the residual test.  A
+    # root is real if its conjugate also lies in the node nearest its own
+    # estimate.
     c = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
     rho = 0.5 * math.hypot(rect.width, rect.height)
     k = min(count, _P // 2)
@@ -522,12 +619,13 @@ def _node_roots(sys, rect, count, sides, tol):
     if None in mults or 0 in mults or sum(mults) != count:
         return None
     est = c + rho * u
-    roots = []
-    for i, mult in enumerate(mults):
-        lam, iterations = _newton(sys, complex(est[i]), mult)
+    polished = _newton(sys, est, mults)
+    for i, (lam, _) in enumerate(polished):
         if lam is None or not rect.contains(lam) or np.argmin(np.abs(est - lam)) != i:
             return None
-        res = _residual(sys, lam)
+    residuals = _residuals(sys, [lam for lam, _ in polished])
+    roots = []
+    for i, ((lam, iterations), mult, res) in enumerate(zip(polished, mults, residuals)):
         if not res <= tol:  # NaN when the probes overflow
             return None
         if rect.contains(lam.conjugate()) and np.argmin(np.abs(est - lam.conjugate())) == i:
@@ -536,19 +634,28 @@ def _node_roots(sys, rect, count, sides, tol):
     return roots
 
 
-def _slice(sys, side, c):
-    # The panels of a side below and above its parameter c, as two sides.
-    # A panel straddling c is integrated afresh as its two pieces, each
-    # starting from one GL panel.
+def _straddled(side, c):
+    # The panel of a side that its parameter c cuts inside, farther than
+    # _SNAP from both ends, as its two pieces (each one starting GL panel for
+    # _adaptive_edges), or None
+    t = side.t
+    i = int(np.searchsorted(t, c))  # t[i - 1] < c <= t[i]
+    if c - t[i - 1] > _SNAP and t[i] - c > _SNAP:
+        return [(t[i - 1], c), (c, t[i])]
+    return None
+
+
+def _slice(side, c, piece=None):
+    # The panels of a side below and above its parameter c, as two sides;
+    # piece is the straddled panel integrated afresh, as a side along it.
     t, val = side.t, side.val
     i = int(np.searchsorted(t, c))  # t[i - 1] < c <= t[i]
-    if c - t[i - 1] <= _SNAP:
-        i -= 1
-    elif t[i] - c > _SNAP:
-        piece, _, _ = _adaptive_edge(sys, side.z0, side.z1, [(t[i - 1], c), (c, t[i])])
+    if piece is not None:
         t = np.concatenate([t[: i - 1], piece.t, t[i + 1 :]])
         val = np.concatenate([val[: i - 1], piece.val, val[i:]])
         i += int(np.searchsorted(piece.t, c)) - 1
+    elif c - t[i - 1] <= _SNAP:
+        i -= 1
     zc = side.z0 + c * (side.z1 - side.z0)
     lo_t = t[: i + 1] / c
     hi_t = (t[i:] - c) / (1.0 - c)
@@ -563,30 +670,36 @@ def _split(sys, rect, sides, vertical=None, fracs=_SPLIT_FRACTIONS):
     # as it is wide.  The children reuse the parent's sides, sliced at the
     # cut, and share the cut line with opposite orientations, so their
     # counts add up to the parent's by construction; the RootAccountingError
-    # checks of find_roots guard the totals.
+    # checks of find_roots guard the totals.  The cut line and the straddled
+    # panels of the two sliced sides are integrated together.
     bottom, right, top, left = sides
     if vertical is None:
         vertical = rect.height >= rect.width
     for frac in fracs:
+        if vertical:
+            y = rect.im_min + frac * rect.height
+            line = (complex(rect.re_min, y), complex(rect.re_max, y))
+            cut_sides = (right, left)
+        else:
+            x = rect.re_min + frac * rect.width
+            line = (complex(x, rect.im_min), complex(x, rect.im_max))
+            cut_sides = (bottom, top)
+        plans = [_straddled(side, frac) for side in cut_sides]
+        edges = [line] + [(side.z0, side.z1, p) for side, p in zip(cut_sides, plans) if p]
         try:
-            if vertical:
-                y = rect.im_min + frac * rect.height
-                cut, _, _ = _adaptive_edge(sys, complex(rect.re_min, y), complex(rect.re_max, y))
-                r1, r2 = _slice(sys, right, frac)
-                l1, l2 = _slice(sys, left, frac)
-                lo = SpectrumRegion(rect.re_min, rect.re_max, rect.im_min, y)
-                hi = SpectrumRegion(rect.re_min, rect.re_max, y, rect.im_max)
-                kids = [(lo, (bottom, r1, cut, l1)), (hi, (cut, r2, top, l2))]
-            else:
-                x = rect.re_min + frac * rect.width
-                cut, _, _ = _adaptive_edge(sys, complex(x, rect.im_min), complex(x, rect.im_max))
-                b1, b2 = _slice(sys, bottom, frac)
-                t1, t2 = _slice(sys, top, frac)
-                lo = SpectrumRegion(rect.re_min, x, rect.im_min, rect.im_max)
-                hi = SpectrumRegion(x, rect.re_max, rect.im_min, rect.im_max)
-                kids = [(lo, (b1, cut, t1, left)), (hi, (b2, right, t2, cut))]
+            cut, *pieces = [edge[0] for edge in _adaptive_edges(sys, edges)]
         except SpectrumError:
             continue
+        (s1, s2), (s3, s4) = [_slice(side, frac, pieces.pop(0) if p else None)
+                              for side, p in zip(cut_sides, plans)]
+        if vertical:
+            lo = SpectrumRegion(rect.re_min, rect.re_max, rect.im_min, y)
+            hi = SpectrumRegion(rect.re_min, rect.re_max, y, rect.im_max)
+            kids = [(lo, (bottom, s1, cut, s3)), (hi, (cut, s2, top, s4))]
+        else:
+            lo = SpectrumRegion(rect.re_min, x, rect.im_min, rect.im_max)
+            hi = SpectrumRegion(x, rect.re_max, rect.im_min, rect.im_max)
+            kids = [(lo, (s1, cut, s3, left)), (hi, (s2, right, s4, cut))]
         counts = [_count_of(_moments(s)[0]) for _, s in kids]
         if None not in counts:
             return [(r, k, s) for (r, s), k in zip(kids, counts)]
@@ -613,7 +726,10 @@ def find_roots(
     half, one cut at Im = -delta (the first of _HALF_CUTS that cuts cleanly,
     times top / 2 when top < 2) splits it, and only the upper child
     [re_min, re_max] x [-delta, top] is searched: each search rectangle
-    reads its roots off its contour moments, or is split.  A root whose
+    reads its roots off its contour moments and polishes all of them
+    together by Newton, or is split.  A split integrates its cut line and
+    the straddled panels of the two sides it slices in one panel loop, in
+    chunks of at most 120 points.  A root whose
     conjugate lies in its rectangle, nearer its own moment estimate than any
     other, is put on the axis and reported once, a root above it with its
     exact conjugate (same residual and newton_iterations), and a root below

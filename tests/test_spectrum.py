@@ -25,7 +25,7 @@ from neutralctl import (
 )
 from neutralctl import spectrum
 from neutralctl.spectrum import (
-    _adaptive_edge,
+    _adaptive_edges,
     _inflate,
     _moments,
     _outer_contour,
@@ -353,13 +353,141 @@ def test_find_roots_work_bound(ex5, monkeypatch):
     # (172,669 when every split recounted both children from scratch, 30,021
     # when the whole symmetric window was searched rather than its upper
     # half, 15,723 when each root took an isolating count) and
-    # Newton's det_logderiv calls (94 when Newton started at the leaf centre)
+    # Newton's det_logderiv calls (94 when Newton started at the leaf centre,
+    # 20 when it polished one estimate at a time; none since it polishes a
+    # node's estimates in one batch per iteration).  Every quadrature round
+    # goes in chunks of at most 120 points (the largest batch was 1,020 when
+    # each edge was integrated alone).
     points = count_points(monkeypatch, "_det_logderiv_many")
     calls = count_points(monkeypatch, "det_logderiv")
     roots = find_roots(ex5, SpectrumRegion(-1, 1, -40, 40))
     assert sum(r.multiplicity for r in roots) == 15
     assert sum(points) <= 6_000
     assert len(calls) <= 70
+    assert calls == []
+    assert max(points) <= 120
+
+
+def test_find_roots_batches_per_search(ex5, monkeypatch):
+    # D batches of a small symmetric search: the outer contour's three edges
+    # and a split's cut line with its straddled panels share each round, and
+    # Newton runs all estimates of a node together (14 batches when every
+    # edge, straddled panel and Newton step was a batch of its own)
+    batches = count_points(monkeypatch, "delta_many")
+    (root,) = find_roots(ex5, SpectrumRegion(-1, 1, -4, 4))
+    assert root.multiplicity == 3
+    assert len(batches) <= 10
+
+
+def test_find_roots_memory_on_a_tall_window(monkeypatch):
+    # an n = 2 system on the tall window of the spectrum-wide benchmark: no
+    # D batch above 120 points (640 when each edge was integrated alone) and
+    # a tracemalloc peak below the 276,744 bytes of that search then; the
+    # first search warms numpy's first-call state, which would dominate
+    sys = kernel_system()
+    region = SpectrumRegion(-4, 3, -25, 25)
+    find_roots(sys, region)
+    batches = count_points(monkeypatch, "delta_many")
+    tracemalloc.start()
+    try:
+        roots = find_roots(sys, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.multiplicity for r in roots) == count_zeros(sys, region) > 0
+    assert max(batches) <= 120
+    assert peak < 276_744
+
+
+def _scalar_newton(sys, lam, mult):
+    # one start at a time on the public det_logderiv, as Newton ran before
+    # it batched a node's estimates
+    best, best_mag = None, math.inf
+    for iterations in range(1, 61):
+        try:
+            det, logd = det_logderiv(sys, lam)
+        except SingularAtEvaluationPoint:
+            return lam, iterations
+        mag = abs(det)
+        if not mag < best_mag:
+            break
+        best, best_mag = lam, mag
+        if mag == 0.0 or not np.isfinite(logd):
+            break
+        lam = lam - mult / logd
+    return best, iterations
+
+
+def _bits(result):
+    lam, iterations = result
+    return (None if lam is None else (lam.real.hex(), lam.imag.hex()), iterations)
+
+
+def test_batched_newton_matches_one_start_at_a_time():
+    # spectrum._newton on groups of up to four starts against the loop on
+    # one start, bit for bit: starts near roots at several distances, with
+    # their multiplicities, and anywhere in the window, on kernel-free and
+    # kernel systems; plus a start at an exact zero of det D (singular) and
+    # one where det is 5e-324j and logd is not finite, each in a group with
+    # ordinary starts, which must run on undisturbed
+    rng = np.random.default_rng(314)
+    scalar = scalar_system(a0=0.3)
+    assert not np.isfinite(det_logderiv(scalar, complex(0.3, 5e-324))[1])
+    with pytest.raises(SingularAtEvaluationPoint):
+        det_logderiv(scalar, 0.3)
+    cases = [(scalar, [0.3, complex(0.3, 5e-324), 1.7 + 0.2j, -0.4], [1, 1, 1, 2])]
+    systems = [_random_real_system(rng, n, kernels=False) for n in (1, 2, 3, 4)]
+    systems += [kernel_system(), kernel_system4()]
+    region = SpectrumRegion(-3, 2, -7, 7)
+    for sys in systems:
+        roots = find_roots(sys, region)
+        starts, mults = [], []
+        for _ in range(32):
+            if rng.random() < 0.75:
+                r = roots[rng.integers(len(roots))]
+                offset = 10.0 ** rng.uniform(-7, -0.5) * np.exp(2j * math.pi * rng.random())
+                starts.append(r.lam + offset)
+                mults.append(r.multiplicity if rng.random() < 0.8 else 2)
+            else:
+                starts.append(complex(rng.uniform(-3, 2), rng.uniform(-7, 7)))
+                mults.append(1)
+        for i in range(0, len(starts), 4):
+            size = int(rng.integers(1, 5))
+            cases.append((sys, starts[i : i + size], mults[i : i + size]))
+    total = 0
+    for sys, starts, mults in cases:
+        got = spectrum._newton(sys, starts, mults)
+        want = [_scalar_newton(sys, complex(z), m) for z, m in zip(starts, mults)]
+        assert [_bits(g) for g in got] == [_bits(w) for w in want]
+        total += len(starts)
+    assert total >= 100
+    assert _bits(spectrum._newton(scalar, [0.3], [1])[0]) == _bits((0.3 + 0j, 1))
+
+
+def test_merged_edge_rounds_name_the_failing_edge():
+    # edges integrated together fail as if integrated one after another: a
+    # singular node or a non-finite det names its own edge, and of several
+    # failing edges the first in order is reported
+    edge = (-1 + 0j, 1 + 0j)
+    node = spectrum._Edge(*edge).nodes()[3]
+    assert node.imag == 0.0
+    singular = scalar_system(a0=node.real)
+    good = (2 - 1j, 2 + 1j)
+    with pytest.raises(ContourThroughZero, match=r"^det D is singular at a node of edge "
+                                                 r"\(-1\+0j\) -> \(1\+0j\)$"):
+        _adaptive_edges(singular, [good, edge])
+    far_left = scalar_system(a_minus1=0.5)
+    west, farther = (-800 - 5j, -800 + 5j), (-900 - 5j, -900 + 5j)
+    for order, named in (([good, west, farther], "-800"), ([farther, good, west], "-900")):
+        with pytest.raises(ContourThroughZero,
+                           match=rf"^det D is not finite on edge \({named}-5j\)"):
+            _adaptive_edges(far_left, order)
+    # the zero at 0 stops the first edge only after some halvings, while
+    # the west edge fails in the first round
+    with pytest.raises(ContourThroughZero, match=r"^det D vanishes on edge \(-0-1j\) -> 1j "):
+        _adaptive_edges(far_left, [(-1j, 1j), west])
+    sides = _adaptive_edges(far_left, [good])
+    assert len(sides) == 1 and sides[0][0].z1 == good[1]
 
 
 def test_failing_outer_contour_is_integrated_once(monkeypatch):
@@ -525,7 +653,7 @@ def test_mirrored_outer_contour_matches_full_integration():
     region = SpectrumRegion(-4, 3, -10, 10)
     count, rect, sides = _outer_contour(sys, region)
     assert rect == _inflate(region) and rect.im_min == -rect.im_max
-    full = [_adaptive_edge(sys, z0, z1)[0] for z0, z1 in _side_ends(rect)]
+    full = [side for side, _, _ in _adaptive_edges(sys, _side_ends(rect))]
     c, rho = complex(-0.5, 2.0), 0.5 * math.hypot(rect.width, rect.height)
     mirrored, direct = _moments(sides, c, rho, 8), _moments(full, c, rho, 8)
     assert count == round(direct[0].real) > 0
