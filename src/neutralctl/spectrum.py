@@ -20,7 +20,10 @@ each sub-rectangle reuses its parent's edge panels and adds one cut line,
 which gets the same edge-local vanishing-determinant check as every edge.  A
 contour step (the outer contour's edges, or a cut line with the straddled
 panels of the sides it slices) is one panel loop over all of its edges,
-whose rounds are evaluated in chunks of at most _CHUNK = 120 points.  Every
+whose rounds are evaluated in chunks of at most _CHUNK = 120 points.  A
+panel settles at 21 points when its Gauss-Kronrod G10 and K21 counts agree
+(its 10 Gauss nodes in one round, its 11 Kronrod nodes in the next), and
+is halved otherwise, each half taking all 21 nodes in one round.  Every
 coefficient is real, so det D(conj lambda) = conj det D(lambda): a contour
 symmetric about the real axis is integrated on its lower half and mirrored,
 and find_roots searches only above a cut just below the real axis and
@@ -80,15 +83,32 @@ _HALF_CUTS = (0.37, 0.29, 0.45)
 _P = 8
 _RANK_CUT = 1e-8
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# The G10/K21 Gauss-Kronrod pair of QUADPACK's qk21 (Piessens et al., 1983)
+# on [-1, 1]: the 10 Gauss nodes, then the 11 Kronrod nodes that extend them,
+# each group ascending; the K21 weights in that node order, and the G10
+# weights of the first 10 nodes.
+_GK_NODES = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+    -0.9956571630258081, -0.9301574913557082, -0.7808177265864169, -0.5627571346686047,
+    -0.2943928627014602, 0.0, 0.2943928627014602, 0.5627571346686047, 0.7808177265864169,
+    0.9301574913557082, 0.9956571630258081])
+_GK_WEIGHTS = np.array([
+    0.032558162307964725, 0.07503967481091996, 0.10938715880229764, 0.13470921731147334,
+    0.14773910490133849, 0.14773910490133849, 0.13470921731147334, 0.10938715880229764,
+    0.07503967481091996, 0.032558162307964725,
+    0.011694638867371874, 0.054755896574351995, 0.0931254545836976, 0.12349197626206584,
+    0.14277593857706009, 0.1494455540029169, 0.14277593857706009, 0.12349197626206584,
+    0.0931254545836976, 0.054755896574351995, 0.011694638867371874])
+_G_WEIGHTS = np.array([
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
+    0.29552422471475287, 0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
+    0.1494513491505806, 0.06667134430868814])
 _POW = np.arange(_P)
-_XI_POW = _GL_NODES[:, None] ** _POW
 # _BINOM[p, q] a^(p - q) b^q is the xi^q coefficient of (a + b xi)^p
 _BINOM = np.array([[math.comb(p, q) for q in range(_P)] for p in range(_P)], dtype=float)
 _SHIFT = np.maximum(_POW[:, None] - _POW, 0)
-# a panel's moments from its lower and upper half's: xi = (xi_half -+ 1) / 2
-_FROM_LO = (_BINOM * (-1.0) ** _SHIFT / 2.0 ** _POW[:, None]).T
-_FROM_HI = (_BINOM / 2.0 ** _POW[:, None]).T
 # reversing a panel maps xi to -xi, and mirroring it conjugates dz
 _MIRROR = -((-1.0) ** _POW)
 
@@ -307,73 +327,73 @@ _SNAP = 1e-12
 
 
 class _Edge:
-    # One edge of _adaptive_edges: the panels (a, b) in its parameter still
-    # to settle, the GL10 panels to evaluate next (the starting ones, then
-    # their halves) and the coarse moments of the active ones; side or error
-    # once it has finished.  The starting panels default to a uniform grid.
+    # One edge of _adaptive_edges: the panels (a, b) in its parameter to
+    # evaluate next, at the nodes xi of their own variable, and between the
+    # first two rounds the starting panels' G10 values; side or error once
+    # it has finished.  The starting panels default to a uniform grid.
 
     def __init__(self, z0, z1, segs=None):
         if segs is None:
             n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
             segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
         self.z0, self.z1 = z0, z1
-        self.active = self.pending = np.asarray(segs, dtype=float)
-        self.end = self.active[-1, 1]
-        self.old = self.side = self.error = None
+        self.pending = np.asarray(segs, dtype=float)
+        self.end = self.pending[-1, 1]
+        self.xi = _GK_NODES[:10]
+        self.gauss = self.med = self.side = self.error = None
         self.done_a, self.done_val = [], []
-        self.processed = len(self.active)
-        if len(self.active) > _MAX_SEGS:
+        self.processed = len(self.pending)
+        if len(self.pending) > _MAX_SEGS:
             self.error = QuadratureNotConverged(
-                f"{len(self.active)} starting panels on edge {z0} -> {z1} exceed the budget of "
+                f"{len(self.pending)} starting panels on edge {z0} -> {z1} exceed the budget of "
                 f"{_MAX_SEGS}")
 
     def nodes(self):
         a = self.pending[:, 0][:, None]
         hw = 0.5 * (self.pending[:, 1] - self.pending[:, 0])[:, None]
-        return self.z0 + (a + (_GL_NODES + 1.0) * hw).ravel() * (self.z1 - self.z0)
+        return self.z0 + (a + (self.xi + 1.0) * hw).ravel() * (self.z1 - self.z0)
 
     def take(self, det, logd, singular):
-        # The round's node values: the pending panels' moments, the checks on
-        # |det|, and the halves of the panels that did not settle.
+        # The round's node values: the checks on |det|, then, once the
+        # pending panels have all 21 values, their K21 moments and the halves
+        # of those whose G10 count misses their K21 count.
         z0, z1 = self.z0, self.z1
         if singular.any():
             self.error = ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
             return
-        hw = 0.5 * (self.pending[:, 1] - self.pending[:, 0])[:, None]
-        vals = (_GL_WEIGHTS * logd.reshape(-1, 10)) @ _XI_POW * (hw * (z1 - z0))
         mags = np.abs(det)
-        if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(logd)):
             lo, med = float(np.min(mags)), float(np.median(mags))
             self.error = _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
             return
-        if self.old is None:
-            self.old = vals
+        f = logd.reshape(len(self.pending), -1)
+        if self.med is None:
+            self.gauss, self.xi = f, _GK_NODES[10:]
             self.med, self.min_det = float(np.median(mags)), float(np.min(mags))
-        else:
-            self.min_det = min(self.min_det, float(np.min(mags)))
-            if self.min_det <= 1e-12 * self.med:
-                self.error = _edge_error(ContourThroughZero, z0, z1, "det D vanishes",
-                                         self.min_det, self.med)
-                return
-            a, b = self.active[:, 0], self.active[:, 1]
-            fine = vals[0::2] @ _FROM_LO + vals[1::2] @ _FROM_HI
-            err = np.abs(fine[:, 0] - self.old[:, 0])
-            tiny = (b - a) <= _MIN_SEG
-            ok = tiny | (err <= _EDGE_BUDGET * (b - a))
-            self.done_a.append(a[ok])
-            self.done_val.append(fine[ok])
-            again = np.repeat(~ok, 2)
-            self.active, self.old = self.pending[again], vals[again]
-            self.processed += len(self.active)
-            if self.processed > _MAX_SEGS or np.any(tiny & (err > _EDGE_BUDGET)):
-                self.error = _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle",
-                                         self.min_det, self.med)
-                return
-        if len(self.active):
-            a, b = self.active[:, 0], self.active[:, 1]
-            m = 0.5 * (a + b)
-            self.pending = np.column_stack([a, m, m, b]).reshape(-1, 2)
-        else:
+            return
+        self.min_det = min(self.min_det, float(np.min(mags)))
+        if self.min_det <= 1e-12 * self.med:
+            self.error = _edge_error(ContourThroughZero, z0, z1, "det D vanishes",
+                                     self.min_det, self.med)
+            return
+        if self.gauss is not None:
+            f, self.gauss, self.xi = np.concatenate([self.gauss, f], axis=1), None, _GK_NODES
+        a, b = self.pending[:, 0], self.pending[:, 1]
+        scale = 0.5 * (b - a) * (z1 - z0)
+        vals = (_GK_WEIGHTS * f) @ _GK_NODES[:, None] ** _POW * scale[:, None]
+        err = np.abs(vals[:, 0] - f[:, :10] @ _G_WEIGHTS * scale)
+        tiny = (b - a) <= _MIN_SEG
+        ok = tiny | (err <= _EDGE_BUDGET * (b - a))
+        self.done_a.append(a[ok])
+        self.done_val.append(vals[ok])
+        a, b = a[~ok], b[~ok]
+        m = 0.5 * (a + b)
+        self.pending = np.column_stack([a, m, m, b]).reshape(-1, 2)
+        self.processed += len(self.pending)
+        if self.processed > _MAX_SEGS or np.any(tiny & (err > _EDGE_BUDGET)):
+            self.error = _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle",
+                                     self.min_det, self.med)
+        elif not len(self.pending):
             a = np.concatenate(self.done_a)
             order = np.argsort(a)
             self.side = _Side(z0, z1, np.append(a[order], self.end),
@@ -382,9 +402,9 @@ class _Edge:
 
 def _adaptive_edges(sys, edges):
     # Panel-adaptive quadrature of logderiv along the edges (z0, z1) or
-    # (z0, z1, starting panels) together: each panel is halved until the
-    # halved count agrees with the coarse one, which fails to terminate only
-    # when a zero of det sits (numerically) on the edge.  Each round
+    # (z0, z1, starting panels) together: a panel settles when its G10 and
+    # K21 counts agree, and is halved otherwise, which fails to terminate
+    # only when a zero of det sits (numerically) on the edge.  Each round
     # evaluates the pending panels of every edge in one loop of chunks.  An
     # edge that fails stops alone; the first failed edge is raised once the
     # edges before it have finished, as if they ran one after another.
@@ -416,7 +436,7 @@ def _quadrature_round(sys, live):
         det[part], logd[part], singular[part] = _det_logderiv_many(sys, z[part])
     at = 0
     for run in live:
-        part = slice(at, at + len(_GL_NODES) * len(run.pending))
+        part = slice(at, at + len(run.xi) * len(run.pending))
         run.take(det[part], logd[part], singular[part])
         at = part.stop
 
@@ -523,10 +543,12 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     """Number of zeros of det D inside the rectangle, counting multiplicity.
 
     The winding number of det D over the boundary is integrated by adaptive
-    Gauss-Legendre panels until it lies within 0.25 of an integer.  The
-    contour is always a copy of the rectangle inflated by deterministic
-    pseudo-random factors in [1e-6, 1e-4] of its size, one for both
-    imaginary sides, so that symmetry about the real axis is kept; a zero
+    Gauss-Kronrod G10/K21 panels until it lies within 0.25 of an integer:
+    a panel settles, at 21 points, when its G10 and K21 counts agree, and
+    is halved otherwise.  The contour is always a copy of the rectangle
+    inflated by deterministic pseudo-random factors in [1e-6, 1e-4] of its
+    size, one for both imaginary sides, so that symmetry about the real
+    axis is kept; a zero
     exactly on the requested boundary would otherwise contribute a half
     winding (an integer for even multiplicities, hence undetectable).  The
     contour is integrated once: a det that vanishes or is not finite on it
@@ -535,8 +557,8 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     about the real axis only the bottom edge and the lower halves of the
     vertical sides are integrated; the rest is their mirror image, since
     det D(conj lambda) = conj det D(lambda).  The integrated edges share one
-    panel loop: each halving round evaluates all of their pending panels,
-    in chunks of at most 120 points, and the first failing edge in order is
+    panel loop: each round evaluates all of their pending panels, in
+    chunks of at most 120 points, and the first failing edge in order is
     reported.  find_roots integrates this outer contour once; its
     sub-rectangles reuse it plus one cut line each.
     """
@@ -563,8 +585,9 @@ def _newton(sys, starts, mults):
     # Multiplicity-aware Newton from every start at once, one batch per
     # iteration.  For multiple roots |det| bottoms out at the cancellation
     # noise of the matrix entries, so each start stops at its first step
-    # that does not lower |det|, and one whose D is singular stops there:
-    # (best point or None, iterations) per start.  The update is Python's
+    # that does not lower |det|, and one whose D is singular, or whose
+    # logderiv is zero or not finite, stops there: (best point or None,
+    # iterations) per start.  The update is Python's
     # complex division, whose rounding numpy's does not share.
     lam = [complex(z) for z in starts]
     best, best_mag = [None] * len(lam), [math.inf] * len(lam)
@@ -581,7 +604,7 @@ def _newton(sys, starts, mults):
                 out[j] = best[j], iterations
             else:
                 best[j], best_mag[j] = lam[j], mag
-                if mag == 0.0 or not np.isfinite(gj):
+                if mag == 0.0 or gj == 0 or not np.isfinite(gj):
                     out[j] = best[j], iterations
                 else:
                     lam[j] = lam[j] - mults[j] / complex(gj)
@@ -636,7 +659,7 @@ def _node_roots(sys, rect, count, sides, tol):
 
 def _straddled(side, c):
     # The panel of a side that its parameter c cuts inside, farther than
-    # _SNAP from both ends, as its two pieces (each one starting GL panel for
+    # _SNAP from both ends, as its two pieces (each one starting panel for
     # _adaptive_edges), or None
     t = side.t
     i = int(np.searchsorted(t, c))  # t[i - 1] < c <= t[i]

@@ -520,6 +520,85 @@ def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):
     assert peak < 2_000_000
 
 
+def test_gauss_kronrod_table():
+    # the G10/K21 pair: K21 integrates x^k on [-1, 1] exactly for k <= 31,
+    # and its 10 Gauss nodes for k <= 19, where they are numpy's
+    # Gauss-Legendre rule; each node group is ascending and symmetric
+    x, wk, wg = spectrum._GK_NODES, spectrum._GK_WEIGHTS, spectrum._G_WEIGHTS
+    assert x.shape == wk.shape == (21,) and wg.shape == (10,)
+    assert np.all(np.diff(np.sort(x)) > 0)
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wk @ x**k - exact) <= 1e-14
+        if k <= 19:
+            assert abs(wg @ x[:10] ** k - exact) <= 1e-14
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(x[:10] - gx)) <= 1e-15 and np.max(np.abs(wg - gw)) <= 1e-15
+    for nodes, weights in ((x[:10], wg), (x[:10], wk[:10]), (x[10:], wk[10:])):
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert abs(wk.sum() - 2.0) <= 1e-15 and abs(wg.sum() - 2.0) <= 1e-15
+
+
+def test_edge_points_per_settled_and_halved_panel(monkeypatch):
+    # on a zero-free edge every starting panel settles in two rounds: its 10
+    # Gauss nodes, then its 11 Kronrod nodes, 21 points in all (30 when the
+    # rule was GL10 against GL10 on the halves); a panel that does not settle
+    # is halved, and each half costs all 21 nodes in one round
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    sys = scalar_system(a0=5.0)
+    ((side, _, _),) = _adaptive_edges(sys, [(-1 - 4j, -1 + 4j)])
+    assert points == [100, 110] and len(side.t) == 11
+    monkeypatch.setattr(spectrum, "_CHUNK", 10**6)  # one call per round
+    del points[:]
+    near = scalar_system(a0=-0.09)
+    ((side, _, _),) = _adaptive_edges(near, [(-0.1 - 5j, -0.1 + 5j, [(0.0, 1.0)])])
+    assert points[:3] == [10, 11, 42] and len(points) > 3
+    assert all(p % 42 == 0 for p in points[2:])
+    assert len(side.t) - 1 == 1 + sum(points[2:]) // 42
+
+
+@pytest.mark.parametrize("zeros, region", [
+    ((0.4,), SpectrumRegion(-2, 2, -3, 3)),
+    ((0.4,), SpectrumRegion(-2, 2, -1, 3)),
+    ((-0.7, 1.3), SpectrumRegion(-2, 2, -3, 3)),
+    ((-0.7, 1.3), SpectrumRegion(-2, 2.5, -0.5, 2)),
+])
+def test_moments_of_planted_zeros(zeros, region):
+    # det D = prod (lambda - a) through a diagonal A0: the moments S_0 and
+    # S_1 of the outer contour (mirrored on a symmetric window) and of the
+    # children of a horizontal and a vertical split are the count and the
+    # exact sum of (a - c) / rho over the zeros inside
+    n = len(zeros)
+    sys = NeutralSystem(n=n, m=1, p=0, A_minus1=np.zeros((n, n)), A0=np.diag(zeros),
+                        A1=np.zeros((n, n)), B=np.ones((n, 1)))
+    count, rect, sides = _outer_contour(sys, region)
+    assert count == n
+    nodes = [(rect, count, sides)]
+    for vertical in (True, False):
+        nodes += _split(sys, rect, sides, vertical=vertical)
+    for r, k, s in nodes:
+        c = complex(0.5 * (r.re_min + r.re_max), 0.5 * (r.im_min + r.im_max))
+        rho = 0.5 * math.hypot(r.width, r.height)
+        inside = [a for a in zeros if r.contains(complex(a))]
+        S = _moments(s, c, rho, 2)
+        assert k == len(inside)
+        assert abs(S[0] - len(inside)) <= 1e-12
+        assert abs(S[1] - sum((a - c) / rho for a in inside)) <= 1e-12
+
+
+def test_newton_stops_where_logderiv_vanishes():
+    # det D = lambda^2 - 1 has the log-derivative 2 lambda / (lambda^2 - 1),
+    # exactly 0 at the start 0: that estimate stops there (the update used
+    # to raise ZeroDivisionError), and the start beside it runs on to 1
+    sys = NeutralSystem(n=2, m=1, p=0, A_minus1=Z2, A0=np.diag([1.0, -1.0]), A1=Z2,
+                        B=[[1], [0]])
+    assert det_logderiv(sys, 0j) == (-1, 0)
+    (at_zero, iterations), (lam, _) = spectrum._newton(sys, [0j, 0.5 + 0.1j], [1, 1])
+    assert (at_zero, iterations) == (0j, 1)
+    assert abs(lam - 1.0) <= 1e-15
+
+
 def _conjugate_closed(roots):
     # the (Re, Im, multiplicity) set is its own mirror image, bit for bit
     keys = sorted((r.lam.real, r.lam.imag, r.multiplicity) for r in roots)
