@@ -163,8 +163,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     sysm = load_system(args.system)
-    if args.omega <= 0:
-        raise ValueError("--omega must be positive")
     region = None
     if not (args.re_min is None and args.re_max is None and args.im_max is None):
         # missing bounds come from the window the synthesis picks without flags

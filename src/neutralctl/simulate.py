@@ -141,7 +141,7 @@ class Trajectory:
 
 
 def _steps_per_unit(step: float) -> int:
-    if step <= 0:
+    if not step > 0:  # also NaN
         raise StepNotUnitDivisor(f"step must be positive, got {step}")
     q = round(1.0 / step)
     if q < 10 or abs(q * step - 1.0) > 1e-9:
@@ -208,8 +208,8 @@ def _simulate_core(sys, history, law, control, horizon, step):
         raise HistoryGridMismatch(f"history grid has q={history.q}, simulation needs q={q}")
     if history.z.shape[1] != n:
         raise HistoryGridMismatch(f"history dimension {history.z.shape[1]} does not match n={n}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     n_steps = round(horizon * q)
     if n_steps < 1 or abs(n_steps * h - horizon) > 1e-9:
         raise ValueError(f"horizon {horizon} is not a multiple of the step {h}")

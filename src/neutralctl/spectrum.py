@@ -105,12 +105,11 @@ _G_WEIGHTS = np.array([
     0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
     0.29552422471475287, 0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
     0.1494513491505806, 0.06667134430868814])
-_POW = np.arange(_P)
-# _BINOM[p, q] a^(p - q) b^q is the xi^q coefficient of (a + b xi)^p
-_BINOM = np.array([[math.comb(p, q) for q in range(_P)] for p in range(_P)], dtype=float)
-_SHIFT = np.maximum(_POW[:, None] - _POW, 0)
+# K21 weights times xi^q, q < _P: a panel's node values times this table are
+# its moments against xi^q
+_GK_MOMENTS = _GK_WEIGHTS[:, None] * _GK_NODES[:, None] ** np.arange(_P)
 # reversing a panel maps xi to -xi, and mirroring it conjugates dz
-_MIRROR = -((-1.0) ** _POW)
+_MIRROR = -((-1.0) ** np.arange(_P))
 
 
 class SpectrumError(RuntimeError):
@@ -151,6 +150,9 @@ class SpectrumRegion:
     im_max: float
 
     def __post_init__(self):
+        bad = [f"{k} = {v}" for k, v in self.as_dict().items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"region bounds must be finite, got {', '.join(bad)}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError(
                 f"degenerate region [{self.re_min}, {self.re_max}] x "
@@ -380,7 +382,7 @@ class _Edge:
             f, self.gauss, self.xi = np.concatenate([self.gauss, f], axis=1), None, _GK_NODES
         a, b = self.pending[:, 0], self.pending[:, 1]
         scale = 0.5 * (b - a) * (z1 - z0)
-        vals = (_GK_WEIGHTS * f) @ _GK_NODES[:, None] ** _POW * scale[:, None]
+        vals = f @ _GK_MOMENTS * scale[:, None]
         err = np.abs(vals[:, 0] - f[:, :10] @ _G_WEIGHTS * scale)
         tiny = (b - a) <= _MIN_SEG
         ok = tiny | (err <= _EDGE_BUDGET * (b - a))
@@ -454,20 +456,23 @@ def _side_ends(rect):
 def _moments(sides, c=0.0, rho=1.0, P=1):
     # Counterclockwise moments (1/2 pi i) int u^p det'/det, p < P, with
     # u = (lambda - c) / rho; by default S_0 alone, the zero count.  On a
-    # panel u = alpha + beta xi, and the shift is well conditioned when the
-    # panels lie on a rectangle of centre c and half-diagonal rho.
-    total = np.zeros(P, dtype=complex)
-    for side, sign in zip(sides, (1.0, 1.0, -1.0, -1.0)):
-        if P == 1:  # the shift is 1; summed in panel order, as the einsum below
-            total += sign * np.einsum("j->", side.val[:, 0])
-            continue
-        d = (side.z1 - side.z0) / rho
-        alpha = (side.z0 - c) / rho + 0.5 * (side.t[:-1] + side.t[1:]) * d
-        beta = 0.5 * np.diff(side.t) * d
-        shift = _BINOM[:P, :P] * (alpha[:, None] ** _POW[:P])[:, _SHIFT[:P, :P]]
-        shift *= (beta[:, None] ** _POW[:P])[:, None, :]
-        total += sign * np.einsum("jpq,jq->p", shift, side.val[:, :P])
-    return total / (2.0j * math.pi)
+    # panel u = alpha + beta xi, so its moments v_q = int xi^q u^p det'/det
+    # step from p to p + 1 by v_q <- alpha v_q + beta v_(q+1), and S_p is
+    # the sum of v_0 over the panels of all four sides after p steps: memory
+    # O(panels P).  The steps are well conditioned when the panels lie on a
+    # rectangle of centre c and half-diagonal rho.
+    signs = (1.0, 1.0, -1.0, -1.0)
+    v = np.concatenate([sign * side.val[:, :P] for side, sign in zip(sides, signs)])
+    S = [v[:, 0].sum()]
+    if P > 1:
+        d = [(side.z1 - side.z0) / rho for side in sides]
+        alpha = np.concatenate([(side.z0 - c) / rho + 0.5 * (side.t[:-1] + side.t[1:]) * dk
+                                for side, dk in zip(sides, d)])[:, None]
+        beta = np.concatenate([0.5 * np.diff(side.t) * dk for side, dk in zip(sides, d)])[:, None]
+        for _ in range(P - 1):
+            v = alpha * v[:, :-1] + beta * v[:, 1:]
+            S.append(v[:, 0].sum())
+    return np.array(S) / (2.0j * math.pi)
 
 
 def _count_of(W):

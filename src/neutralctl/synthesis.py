@@ -110,8 +110,8 @@ def _plan_region(sys, omega, tol_rank):
 
 def _stage1_loop(sys, omega, targets, tol_rank):
     # the stage-1 gain F_minus1 and the closed loop it makes
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     c2 = check_condition2(sys, tol_rank)
     if not c2.passed:
         raise Condition2Violated(max((w.lam for w in c2.witnesses), key=abs))

@@ -227,6 +227,29 @@ def test_nonpositive_step_is_operational_error(ex3_file, tmp_path, capsys, step)
     assert capsys.readouterr().err.startswith("error: StepNotUnitDivisor: ")
 
 
+@pytest.mark.parametrize("command, flag, error", [
+    # an uncaught OverflowError before
+    ("simulate", "--horizon=inf", "ValueError: horizon must be finite and positive, got inf"),
+    # "cannot convert float NaN to integer" before
+    ("simulate", "--horizon=nan", "ValueError: horizon must be finite and positive, got nan"),
+    ("simulate", "--step=nan", "StepNotUnitDivisor: step must be positive, got nan"),
+    ("spectrum", "--im-max=inf",
+     "ValueError: region bounds must be finite, got im_min = -inf, im_max = inf"),
+    # an uncaught OverflowError before
+    ("spectrum", "--re-max=inf", "ValueError: region bounds must be finite, got re_max = inf"),
+    # a PlacementError "inside radius nan" before
+    ("synthesize", "--omega=nan", "ValueError: omega must be finite and positive, got nan"),
+    # "radius must be positive" before
+    ("synthesize", "--omega=inf", "ValueError: omega must be finite and positive, got inf"),
+    ("synthesize", "--omega=0", "ValueError: omega must be finite and positive, got 0.0"),
+])
+def test_non_finite_argument_is_named_operational_error(ex5_file, tmp_path, capsys, command,
+                                                        flag, error):
+    code = run(command, "--system", str(ex5_file), flag, "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_outputs_byte_identical_across_thread_counts(ex5_file, kernel_file, tmp_path,
                                                      monkeypatch, threads):

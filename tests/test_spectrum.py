@@ -382,8 +382,11 @@ def test_find_roots_batches_per_search(ex5, monkeypatch):
 def test_find_roots_memory_on_a_tall_window(monkeypatch):
     # an n = 2 system on the tall window of the spectrum-wide benchmark: no
     # D batch above 120 points (640 when each edge was integrated alone) and
-    # a tracemalloc peak below the 276,744 bytes of that search then; the
-    # first search warms numpy's first-call state, which would dominate
+    # a tracemalloc peak below 150,000 bytes (276,744 when each edge was
+    # integrated alone, about 170,000 while the moments were shifted through
+    # a (panels, P, P) binomial tensor, about 105,000 by the two-term
+    # recurrence); the first search warms numpy's first-call state, which
+    # would dominate
     sys = kernel_system()
     region = SpectrumRegion(-4, 3, -25, 25)
     find_roots(sys, region)
@@ -396,7 +399,7 @@ def test_find_roots_memory_on_a_tall_window(monkeypatch):
         tracemalloc.stop()
     assert sum(r.multiplicity for r in roots) == count_zeros(sys, region) > 0
     assert max(batches) <= 120
-    assert peak < 276_744
+    assert peak < 150_000
 
 
 def _scalar_newton(sys, lam, mult):
@@ -585,6 +588,49 @@ def test_moments_of_planted_zeros(zeros, region):
         assert k == len(inside)
         assert abs(S[0] - len(inside)) <= 1e-12
         assert abs(S[1] - sum((a - c) / rho for a in inside)) <= 1e-12
+
+
+def _mp_shifted_moments(sides, c, rho, P):
+    # S_p at 40 digits from the same stored panel moments, by the binomial
+    # expansion of u^p = (alpha + beta xi)^p on each panel, and the sum of
+    # the terms' moduli per p
+    with mpmath.workdps(40):
+        c, rho = mpmath.mpc(c), mpmath.mpf(rho)
+        S, size = [mpmath.mpc(0)] * P, [mpmath.mpf(0)] * P
+        for side, sign in zip(sides, (1, 1, -1, -1)):
+            z0, z1 = mpmath.mpc(side.z0), mpmath.mpc(side.z1)
+            for j in range(len(side.t) - 1):
+                t0, t1 = mpmath.mpf(side.t[j]), mpmath.mpf(side.t[j + 1])
+                alpha = (z0 + (t0 + t1) / 2 * (z1 - z0) - c) / rho
+                beta = (t1 - t0) / 2 * (z1 - z0) / rho
+                for p in range(P):
+                    for q in range(p + 1):
+                        term = (sign * math.comb(p, q) * alpha ** (p - q) * beta**q
+                                * mpmath.mpc(side.val[j, q]) / (2j * mpmath.pi))
+                        S[p] += term
+                        size[p] += abs(term)
+        return S, size
+
+
+@pytest.mark.parametrize("region", [SpectrumRegion(-4, 3, -10, 10), SpectrumRegion(-4, 3, -3, 9)])
+def test_moments_match_binomial_shift(region):
+    # all eight moments of the outer contour (mirrored on the symmetric
+    # window, direct on the other) and of both children of a horizontal and
+    # of a vertical split, each in its own node's variable, against the
+    # 40-digit binomial expansion of the stored panel moments
+    sys = kernel_system()
+    count, rect, sides = _outer_contour(sys, region)
+    nodes = [(rect, count, sides)]
+    for vertical in (True, False):
+        nodes += _split(sys, rect, sides, vertical=vertical)
+    assert len(nodes) == 5 and count > 0
+    for r, _, s in nodes:
+        c = complex(0.5 * (r.re_min + r.re_max), 0.5 * (r.im_min + r.im_max))
+        rho = 0.5 * math.hypot(r.width, r.height)
+        S = _moments(s, c, rho, 8)
+        ref, size = _mp_shifted_moments(s, c, rho, 8)
+        for p in range(8):
+            assert abs(mpmath.mpc(S[p]) - ref[p]) <= 1e-14 * size[p]
 
 
 def test_newton_stops_where_logderiv_vanishes():
