@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_RANK_TOL, controllable_staircase, numerical_rank
+from .linalg import DEFAULT_RANK_TOL, _check_rank_tol, controllable_staircase, numerical_rank
 from .spectrum import (
     DEFAULT_ROOT_TOL,
     SpectrumRegion,
@@ -118,6 +118,7 @@ def check_condition1(
     beyond the window are only covered heuristically (their behaviour is
     governed by condition 2), which the verdict records, never proves.
     """
+    _check_rank_tol(tol_rank)  # before the search, which finds no root to rank on some inputs
     if region is None:
         region = default_region(sys)
     roots = find_roots(sys, region, tol_root)

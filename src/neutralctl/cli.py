@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: spectrum, check-controllability, check-stabilizability,
-check-observability, synthesize, simulate.  Exit codes: 0 on success or a
-passing verdict, 2 when a checked condition definitely fails, 1 on
-operational errors (bad files, invalid parameters, solver failures).
+check-observability, synthesize, simulate; neutralctl.system parses every
+input file.  Exit codes: 0 on success or a passing verdict, 2 when a checked
+condition definitely fails, 1 on operational errors (ValueError for bad
+files or parameters, OSError for unreadable paths, solver failures).
 """
 
 from __future__ import annotations
@@ -11,33 +12,23 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys as _sys
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, spectrum, svg, synthesis
-from .linalg import PlacementError
+from .linalg import DEFAULT_RANK_TOL, PlacementError
 from .simulate import (
     History,
-    HistoryGridMismatch,
-    StepNotUnitDivisor,
     _steps_per_unit,
     simulate,
     simulate_closed_loop,
     trajectory_to_csv,
 )
-from .spectrum import SpectrumError, SpectrumRegion
+from .spectrum import DEFAULT_ROOT_TOL, SpectrumError, SpectrumRegion
 from .synthesis import Condition2Violated
-from .system import (
-    DimensionError,
-    NoOutputError,
-    SystemFormatError,
-    load_system,
-    parse_feedback,
-    transpose_dual,
-)
+from .system import load_system, parse_feedback, parse_history, transpose_dual
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -57,8 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--system", required=True, help="system definition file (JSON)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--tol-rank", type=float, default=1e-9, help="relative rank tolerance")
-        p.add_argument("--tol-root", type=float, default=1e-9, help="root residual tolerance")
+        p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
+                       help="relative rank tolerance")
+        p.add_argument("--tol-root", type=float, default=DEFAULT_ROOT_TOL,
+                       help="root residual tolerance")
 
     def add_region(p):
         p.add_argument("--re-min", type=float, default=None)
@@ -119,9 +112,7 @@ def _cmd_spectrum(args) -> int:
     outdir = Path(args.out)
     _write(outdir, "roots.csv", spectrum.roots_to_csv(roots))
     _write(outdir, "chains.json", _json_dump({"chains": [c.as_dict() for c in chains]}))
-    kmax = int(region.symmetrized().im_max / (2 * math.pi)) + 2
-    _write(outdir, "spectrum.svg", svg.spectrum_svg(roots, chains, region.symmetrized(),
-                                                    chain_indices=range(-kmax, kmax + 1)))
+    _write(outdir, "spectrum.svg", svg.spectrum_svg(roots, chains, region.symmetrized()))
     print(f"{len(roots)} distinct roots, {sum(r.multiplicity for r in roots)} with multiplicity")
     for r in roots:
         print(f"  lambda = {r.lam.real:+.6f} {r.lam.imag:+.6f}i  multiplicity {r.multiplicity}")
@@ -182,23 +173,16 @@ def _cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _load_history(args, sysm, q: int) -> History:
-    if args.history is None:
-        return History.constant(np.ones(sysm.n), q)
-    with open(args.history, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or "z" not in obj:
-        raise SystemFormatError("history file must be an object with a 'z' array")
-    return History.from_samples(obj["z"], q, obj.get("dz"))
-
-
 def _cmd_simulate(args) -> int:
     sysm = load_system(args.system)
     q = _steps_per_unit(args.step)
-    history = _load_history(args, sysm, q)
+    if args.history is None:
+        history = History.constant(np.ones(sysm.n), q)
+    else:
+        z, dz = parse_history(Path(args.history).read_text(encoding="utf-8"))
+        history = History.from_samples(z, q, dz)
     if args.feedback is not None:
-        with open(args.feedback, "r", encoding="utf-8") as fh:
-            law = parse_feedback(fh.read(), sysm.m, sysm.n)
+        law = parse_feedback(Path(args.feedback).read_text(encoding="utf-8"), sysm.m, sysm.n)
         traj = simulate_closed_loop(sysm, law, history, horizon=args.horizon, step=args.step)
     else:
         traj = simulate(sysm, history, control=None, horizon=args.horizon, step=args.step)
@@ -213,30 +197,14 @@ def _cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "spectrum": _cmd_spectrum,
-        "check-controllability": _cmd_check,
-        "check-stabilizability": _cmd_check,
-        "check-observability": _cmd_check,
-        "synthesize": _cmd_synthesize,
-        "simulate": _cmd_simulate,
-    }
+    handlers = {"spectrum": _cmd_spectrum, **dict.fromkeys(_CHECKS, _cmd_check),
+                "synthesize": _cmd_synthesize, "simulate": _cmd_simulate}
     try:
         return handlers[args.command](args)
-    except Condition2Violated as e:
+    except Condition2Violated as e:  # a ValueError, but a definite negative verdict
         print(f"error: {type(e).__name__}: {e}", file=_sys.stderr)
         return EXIT_CONDITION_FAILED
-    except (
-        SystemFormatError,
-        DimensionError,
-        NoOutputError,
-        StepNotUnitDivisor,
-        HistoryGridMismatch,
-        SpectrumError,
-        PlacementError,
-        FileNotFoundError,
-        ValueError,
-    ) as e:
+    except (ValueError, SpectrumError, PlacementError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=_sys.stderr)
         return EXIT_OPERATIONAL
 

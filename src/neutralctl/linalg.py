@@ -58,6 +58,13 @@ class PlacementError(RuntimeError):
         )
 
 
+def _check_rank_tol(tol):
+    # NaN, an infinite or a non-positive tolerance would rank every matrix
+    # zero or full and so decide a verdict instead of failing
+    if not 0 < tol < math.inf:
+        raise ValueError(f"rank tolerance must be finite and positive, got {tol}")
+
+
 @dataclass(frozen=True)
 class RankReport:
     """Numerical rank of one matrix: rank = #{sigma_i > tolerance_used}."""
@@ -73,6 +80,7 @@ def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     When sigma_max <= RANK_FLOOR the threshold is RANK_FLOOR instead, so a
     numerically zero matrix has rank 0.
     """
+    _check_rank_tol(tol)
     M = np.asarray(M)
     if M.size == 0:
         raise ValueError("numerical_rank needs a nonempty matrix")
@@ -108,7 +116,6 @@ class Staircase:
     """
 
     Q: np.ndarray
-    block_sizes: tuple[int, ...]
     n_controllable: int
     A_t: np.ndarray
     B_t: np.ndarray
@@ -189,6 +196,7 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
     however small its own largest singular value, and the verdict does not
     depend on the units of the input.  B = 0 has rank 0.
     """
+    _check_rank_tol(tol)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
@@ -196,7 +204,6 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
     Q = np.eye(n)
     A_t = A.copy()
     B_t = B.copy()
-    sizes = []
     row0 = 0
     blk = B_t
     blk_scale = float(np.linalg.norm(B))
@@ -210,7 +217,6 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
         A_t = Qk.T @ A_t @ Qk
         B_t = Qk.T @ B_t
         Q = Q @ Qk
-        sizes.append(r)
         prev = row0
         row0 += r
         if row0 >= n:
@@ -219,7 +225,6 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
         blk_scale = 1.0
     return Staircase(
         Q=Q,
-        block_sizes=tuple(sizes),
         n_controllable=row0,
         A_t=A_t,
         B_t=B_t,

@@ -765,7 +765,11 @@ def find_roots(
     raised unless the upper child's roots add up to its count and the
     reported roots to the whole region's.  The result is sorted by (Re
     rounded to 9 decimals, Im) and closed under conjugation bit for bit.
+    A tol that is not finite and positive raises ValueError: no residual
+    would pass it, and the search would split down to _MIN_LEAF.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"root tolerance must be finite and positive, got {tol}")
     region = region.symmetrized()
     total, rect, sides = _outer_contour(sys, region)
     if not total:

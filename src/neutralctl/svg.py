@@ -64,9 +64,11 @@ def _axis_labels(fr):
     )
 
 
-def spectrum_svg(roots, chains, region, chain_indices=range(-10, 11)) -> str:
-    """Scatter of located roots (crosses) and chain predictions (circles)."""
+def spectrum_svg(roots, chains, region) -> str:
+    """Scatter of located roots (crosses) and every chain prediction in the
+    region (circles): the k-th has Im = phase + 2 pi k, |phase| <= pi."""
     fr = _Frame(region.re_min, region.re_max, region.im_min, region.im_max)
+    kmax = int(max(-region.im_min, region.im_max) / (2 * math.pi)) + 2
     body = _axis_labels(fr)
     if fr.x_min < 0 < fr.x_max:
         x0 = _fmt(fr.px(0.0))
@@ -81,7 +83,7 @@ def spectrum_svg(roots, chains, region, chain_indices=range(-10, 11)) -> str:
             f'stroke="#bbbbbb" stroke-dasharray="4 3"/>\n'
         )
     for chain in chains:
-        for k in chain_indices:
+        for k in range(-kmax, kmax + 1):
             lam = chain.predict(k)
             if not (fr.x_min <= lam.real <= fr.x_max and fr.y_min <= lam.imag <= fr.y_max):
                 continue

@@ -29,6 +29,7 @@ __all__ = [
     "apply_feedback",
     "zero_law",
     "parse_feedback",
+    "parse_history",
 ]
 
 
@@ -132,10 +133,6 @@ class NeutralSystem:
                 )
         object.__setattr__(self, "kernels", segs)
 
-    @property
-    def has_output(self):
-        return self.p > 0
-
 
 @dataclass(frozen=True)
 class FeedbackLaw:
@@ -191,12 +188,9 @@ def _require_matrix(obj, name, where="file"):
     return np.array(raw, dtype=float)
 
 
-def parse_system(text: str) -> NeutralSystem:
-    """Parse a system definition file (UTF-8 JSON) into a NeutralSystem.
-
-    Unknown fields are rejected; matrix entries keep the exact value of
-    their decimal literals.  Syntax errors report the offending position.
-    """
+def _load_object(text, fields):
+    # the JSON object of an input file, whose fields must all be in fields;
+    # syntax errors report the offending position
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -205,9 +199,19 @@ def parse_system(text: str) -> NeutralSystem:
         ) from e
     if not isinstance(obj, dict):
         raise SystemFormatError("top-level value must be an object")
-    unknown = set(obj) - _TOP_FIELDS
+    unknown = set(obj) - fields
     if unknown:
         raise SystemFormatError(f"unknown fields: {sorted(unknown)}")
+    return obj
+
+
+def parse_system(text: str) -> NeutralSystem:
+    """Parse a system definition file (UTF-8 JSON) into a NeutralSystem.
+
+    Unknown fields are rejected; matrix entries keep the exact value of
+    their decimal literals.  Syntax errors report the offending position.
+    """
+    obj = _load_object(text, _TOP_FIELDS)
     for name in ("n", "m"):
         if name not in obj:
             raise SystemFormatError(f"missing required field {name!r}")
@@ -222,8 +226,11 @@ def parse_system(text: str) -> NeutralSystem:
         C = _require_matrix(obj, "C")
     elif "C" in obj:
         raise SystemFormatError("field 'C' given but p is 0 or absent")
+    segments = obj.get("kernels", [])
+    if not isinstance(segments, list):
+        raise SystemFormatError("field 'kernels' must be an array of segment objects")
     kernels = []
-    for i, raw in enumerate(obj.get("kernels", [])):
+    for i, raw in enumerate(segments):
         if not isinstance(raw, dict):
             raise SystemFormatError(f"kernels[{i}] must be an object")
         unknown = set(raw) - _SEG_FIELDS
@@ -317,7 +324,7 @@ def apply_feedback(sys: NeutralSystem, law: FeedbackLaw) -> NeutralSystem:
         A0=sys.A0 + sys.B @ law.F0,
         A1=sys.A1 + sys.B @ law.F1,
         B=sys.B,
-        C=None if sys.C is None else sys.C,
+        C=sys.C,
         kernels=sys.kernels,
     )
 
@@ -327,17 +334,7 @@ def parse_feedback(text: str, m: int, n: int) -> FeedbackLaw:
 
     Missing gains default to zero.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SystemFormatError(
-            f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    if not isinstance(obj, dict):
-        raise SystemFormatError("top-level value must be an object")
-    unknown = set(obj) - {"F_minus1", "F0", "F1"}
-    if unknown:
-        raise SystemFormatError(f"unknown fields: {sorted(unknown)}")
+    obj = _load_object(text, {"F_minus1", "F0", "F1"})
     gains = {}
     for name in ("F_minus1", "F0", "F1"):
         if name in obj:
@@ -347,3 +344,20 @@ def parse_feedback(text: str, m: int, n: int) -> FeedbackLaw:
         else:
             gains[name] = np.zeros((m, n))
     return FeedbackLaw(gains["F_minus1"], gains["F0"], gains["F1"])
+
+
+def parse_history(text: str):
+    """Parse a history file: {"z": rows, "dz": rows}, with dz optional.
+
+    Returns the float arrays (z, dz), dz None when absent or null;
+    History.from_samples checks their grid and that their values are finite.
+    """
+    obj = _load_object(text, {"z", "dz"})
+    if "z" not in obj:
+        raise SystemFormatError("history file must be an object with a 'z' array")
+    try:
+        z = np.asarray(obj["z"], dtype=float)
+        dz = None if obj.get("dz") is None else np.asarray(obj["dz"], dtype=float)
+    except TypeError as e:  # a JSON object among the samples
+        raise SystemFormatError(f"history samples must be numbers: {e}") from e
+    return z, dz

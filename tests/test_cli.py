@@ -1,10 +1,15 @@
 import argparse
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neutralctl
+from neutralctl import spectrum
 from neutralctl.cli import main
 
 FOUND_JSON = """{
@@ -28,6 +33,19 @@ NO_INPUT_JSON = """{
 
 def run(*argv):
     return main(list(argv))
+
+
+def count_points(monkeypatch):
+    # the number of points at which D or D' is evaluated
+    points = []
+    inner = spectrum._delta_many
+
+    def counted(system, lam, deriv):
+        points.append(len(lam))
+        return inner(system, lam, deriv)
+
+    monkeypatch.setattr(spectrum, "_delta_many", counted)
+    return points
 
 
 def test_check_stabilizability_example5(ex5_file, tmp_path):
@@ -314,3 +332,94 @@ def test_simulate_overflow_prints_no_numpy_warnings(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ValueError: the solution overflows")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_history_with_an_unknown_field_is_rejected(ex3_file, tmp_path, capsys):
+    # "dZ" was ignored, and dz taken from finite differences
+    theta = -1.0 + np.arange(101) / 100
+    hist = tmp_path / "history.json"
+    z = np.stack([theta, np.ones_like(theta)], 1).tolist()
+    hist.write_text(json.dumps({"z": z, "dZ": z}))
+    out = tmp_path / "out"
+    code = run("simulate", "--system", str(ex3_file), "--history", str(hist), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: SystemFormatError: unknown fields: ['dZ']\n"
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_history_syntax_error_names_line_and_column(ex3_file, tmp_path, capsys):
+    # a JSONDecodeError before
+    hist = tmp_path / "history.json"
+    hist.write_text('{"z": [[0, 1],\n      [1, 1]],,}')
+    code = run("simulate", "--system", str(ex3_file), "--history", str(hist),
+               "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: SystemFormatError: syntax error at line 2, column 15: ")
+
+
+def test_history_of_json_objects_is_a_format_error(ex3_file, tmp_path, capsys):
+    # a TypeError traceback before
+    hist = tmp_path / "history.json"
+    hist.write_text('{"z": [{"t": 0}]}')
+    code = run("simulate", "--system", str(ex3_file), "--history", str(hist),
+               "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: SystemFormatError: history samples ")
+
+
+def test_directory_as_system_is_operational_error(tmp_path, capsys):
+    # an IsADirectoryError traceback before
+    code = run("spectrum", "--system", str(tmp_path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command, fixture", [
+    # nan and inf gave condition 1 violated and exit 2 on ex5
+    ("check-stabilizability", "ex5_file"),
+    # -1 turned ex4's violated condition 1 into ok
+    ("check-controllability", "ex4_file"),
+    ("synthesize", "ex5_file"),
+])
+def test_rank_tolerance_must_be_finite_and_positive(request, tmp_path, capsys, monkeypatch,
+                                                    command, fixture, tol):
+    points = count_points(monkeypatch)
+    extra = ["--omega", "1"] if command == "synthesize" else []
+    code = run(command, "--system", str(request.getfixturevalue(fixture)), "--im-max", "7",
+               f"--tol-rank={tol}", *extra, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: rank tolerance must be finite and positive, got {float(tol)}\n")
+    assert points == []
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["spectrum", "check-controllability"])
+def test_root_tolerance_must_be_finite_and_positive(ex5_file, tmp_path, capsys, monkeypatch,
+                                                    command, tol):
+    # nan, -1 and 0 subdivided down to MaxDepthExceeded before
+    points = count_points(monkeypatch)
+    code = run(command, "--system", str(ex5_file), "--im-max", "7", f"--tol-root={tol}",
+               "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: ValueError: root tolerance must be finite and positive, got {float(tol)}\n")
+    assert points == []
+
+
+def test_runtime_needs_numpy_only(ex5_file, tmp_path):
+    # the test-only oracles must not leak into the library or the CLI
+    script = (
+        "import json, sys, neutralctl, neutralctl.cli\n"
+        f"assert neutralctl.cli.main(['spectrum', '--system', {str(ex5_file)!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))\n"
+    )
+    src = str(Path(neutralctl.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, check=True, timeout=120)
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "mpmath", "sympy", "hypothesis"}

@@ -10,6 +10,7 @@ from conftest import neutral_pair, random_pair
 from neutralctl import (
     PlacementError,
     UnstabilizableMode,
+    check_condition1,
     check_condition2,
     controllable_staircase,
     kalman_matrix,
@@ -37,6 +38,19 @@ def test_rank_zero_matrix():
     rep = numerical_rank(np.array([[1e-17, 0.0]]))
     assert rep.rank == 0
     assert rep.tolerance_used == RANK_FLOOR
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_rank_tolerance_must_be_finite_and_positive(ex5, tol, monkeypatch):
+    # NaN ranked every matrix zero and inf or -1 decided verdicts before
+    with pytest.raises(ValueError, match="rank tolerance must be finite and positive"):
+        numerical_rank(np.eye(2), tol)
+    with pytest.raises(ValueError, match="rank tolerance"):
+        controllable_staircase(ex5.A_minus1, ex5.B, tol)
+    # condition 1 rejects it before its root search
+    monkeypatch.setattr("neutralctl.analysis.find_roots", None)
+    with pytest.raises(ValueError, match="rank tolerance"):
+        check_condition1(ex5, tol_rank=tol)
 
 
 def test_rank_example3_augmented_at_zero():

@@ -299,6 +299,15 @@ def test_find_roots_sum_matches_count(ex5):
     assert sum(r.multiplicity for r in roots) == count_zeros(ex5, region.symmetrized())
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_find_roots_rejects_a_tolerance_no_residual_passes(ex5, tol, monkeypatch):
+    # NaN, -1 and 0 ran the whole subdivision into MaxDepthExceeded before
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    with pytest.raises(ValueError, match="root tolerance must be finite and positive"):
+        find_roots(ex5, SpectrumRegion(-1, 1, -7, 7), tol)
+    assert points == []
+
+
 def test_find_roots_repeatable(ex5):
     region = SpectrumRegion(-1, 1, -15, 15)
     r1 = find_roots(ex5, region)

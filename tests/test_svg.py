@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from neutralctl import Trajectory
+from neutralctl import SpectrumRegion, Trajectory, predict_chains
 from neutralctl.svg import (
-    _COLORS, _MARGIN, _W, _axis_labels, _document, _Frame, _polyline, trajectory_svg,
+    _COLORS, _MARGIN, _W, _axis_labels, _document, _Frame, _polyline, spectrum_svg,
+    trajectory_svg,
 )
 
 
@@ -55,3 +56,10 @@ def test_polyline_matches_per_point_format():
         f'<polyline points="{pts}" fill="none" stroke="k" stroke-width="1.2"/>\n'
     )
     assert 'points=""' in _polyline(fr, [], [], "k")
+
+
+def test_spectrum_svg_draws_every_chain_point_in_the_region(ex5):
+    # ex5's one chain lies at 2 pi i k; |Im| <= 100 holds k = -15..15, of
+    # which the fixed range -10..10 drew 21
+    svg = spectrum_svg([], predict_chains(ex5), SpectrumRegion(-1, 1, -100, 100))
+    assert svg.count("<circle") == 31

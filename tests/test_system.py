@@ -74,6 +74,13 @@ def test_parse_rejects_non_finite_and_boolean_numbers(text):
         parse_system(text)
 
 
+@pytest.mark.parametrize("value", ["5", "null"])
+def test_parse_rejects_kernels_that_are_not_an_array(value):
+    # an uncaught TypeError before
+    with pytest.raises(SystemFormatError, match="kernels"):
+        parse_system(SCALAR % ("0", f', "kernels": {value}'))
+
+
 def test_round_trip_exact():
     text = json.dumps(
         {
