@@ -3,8 +3,9 @@
 Two rank conditions decide the control-theoretic properties:
 
   condition 1: rank [D(lambda), B] = n at every eigenvalue lambda (tested at
-               every root found in a search region; D(lambda) is nonsingular
-               off the spectrum, so the rank can only drop there);
+               every root found in a search region, with B at unit norm;
+               D(lambda) is nonsingular off the spectrum, so the rank can
+               only drop there);
   condition 2: rank [mu I - A_minus1, B] = n for every nonzero mu, which
                holds when the uncontrollable block of the orthogonal
                controllability staircase of (A_minus1, B) is nilpotent, to
@@ -93,13 +94,14 @@ def check_condition2(sys: NeutralSystem, tol_rank: float = DEFAULT_RANK_TOL) -> 
     tolerance: its zero eigenvalue is deflated first, and each nonzero
     eigenvalue mu left is a witness, with a vector v such that
     v^H [mu I - A_minus1, B] = 0 by construction; rank_found is the
-    numerical rank of [mu I - A_minus1, B].  B is ranked against its own
-    norm, so the verdict does not depend on the units of the input; B = 0
-    leaves every nonzero eigenvalue of A_minus1 a witness.
+    numerical rank of [mu I - A_minus1, B / ||B||_F].  B is ranked against
+    its own norm, so the verdict does not depend on the units of the input;
+    B = 0 leaves every nonzero eigenvalue of A_minus1 a witness.
     """
     st = controllable_staircase(sys.A_minus1, sys.B, tol_rank)
+    B = sys.B / (np.linalg.norm(sys.B) or 1.0)  # unit norm, as in condition 1
     witnesses = tuple(
-        Witness(mu, v, numerical_rank(np.hstack([mu * np.eye(sys.n) - sys.A_minus1, sys.B]),
+        Witness(mu, v, numerical_rank(np.hstack([mu * np.eye(sys.n) - sys.A_minus1, B]),
                                       tol_rank).rank)
         for mu, v in st.uncontrollable_modes()
     )
@@ -114,6 +116,8 @@ def check_condition1(
 ) -> CheckResult:
     """rank [D(lambda), B] = n at every spectrum point inside the region.
 
+    Each root ranks [D(lambda), B / ||B||_F] (B itself when zero), so the
+    verdict, like condition 2's, does not depend on the units of the input.
     Certification is region-limited: eigenvalues of high-frequency chains
     beyond the window are only covered heuristically (their behaviour is
     governed by condition 2), which the verdict records, never proves.
@@ -124,8 +128,9 @@ def check_condition1(
     roots = find_roots(sys, region, tol_root)
     witnesses = []
     D = delta_many(sys, [root.lam for root in roots]) if roots else []
+    B = (sys.B / (np.linalg.norm(sys.B) or 1.0)).astype(complex)
     for root, D_root in zip(roots, D):
-        M = np.hstack([D_root, sys.B.astype(complex)])
+        M = np.hstack([D_root, B])
         rep = numerical_rank(M, tol_rank)
         if rep.rank < sys.n:
             U, _, _ = np.linalg.svd(M)

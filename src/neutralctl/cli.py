@@ -2,9 +2,10 @@
 
 Subcommands: spectrum, check-controllability, check-stabilizability,
 check-observability, synthesize, simulate; neutralctl.system parses every
-input file.  Exit codes: 0 on success or a passing verdict, 2 when a checked
-condition definitely fails, 1 on operational errors (ValueError for bad
-files or parameters, OSError for unreadable paths, solver failures).
+input file.  Exit codes: 0 on success, a passing verdict or --help, 2 when a
+checked condition definitely fails, 1 on operational errors (usage errors,
+ValueError for bad files or parameters, OSError for unreadable paths, solver
+failures).
 """
 
 from __future__ import annotations
@@ -45,13 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, rank=True, root=True):
+        # each command takes only the tolerances it reads
         p.add_argument("--system", required=True, help="system definition file (JSON)")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
-                       help="relative rank tolerance")
-        p.add_argument("--tol-root", type=float, default=DEFAULT_ROOT_TOL,
-                       help="root residual tolerance")
+        if rank:
+            p.add_argument("--tol-rank", type=float, default=DEFAULT_RANK_TOL,
+                           help="relative rank tolerance")
+        if root:
+            p.add_argument("--tol-root", type=float, default=DEFAULT_ROOT_TOL,
+                           help="root residual tolerance")
 
     def add_region(p):
         p.add_argument("--re-min", type=float, default=None)
@@ -59,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--im-max", type=float, default=None)
 
     p = sub.add_parser("spectrum", help="locate eigenvalues in a rectangle")
-    add_common(p)
+    add_common(p, rank=False)
     add_region(p)
 
     for name in ("check-controllability", "check-stabilizability", "check-observability"):
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True, help="target decay rate (> 0)")
 
     p = sub.add_parser("simulate", help="integrate the equation by the method of steps")
-    add_common(p)
+    add_common(p, rank=False, root=False)
     p.add_argument("--step", type=float, default=0.01, help="grid step, must be 1/q, q >= 10")
     p.add_argument("--horizon", type=float, default=5.0, help="final time, multiple of step")
     p.add_argument("--history", default=None, help="history file (JSON with z and optional dz)")
@@ -195,8 +199,10 @@ def _cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage error or the help
+        return EXIT_OPERATIONAL if e.code else EXIT_OK
     handlers = {"spectrum": _cmd_spectrum, **dict.fromkeys(_CHECKS, _cmd_check),
                 "synthesize": _cmd_synthesize, "simulate": _cmd_simulate}
     try:

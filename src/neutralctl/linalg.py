@@ -1,6 +1,6 @@
 """Finite-dimensional linear algebra: tolerance-based numerical rank,
 controllability (Kalman) matrices, the orthogonal controllability staircase
-and disk-targeted pole placement.
+and disk-targeted pole placement, one input column at a time.
 
 The staircase is the one place that decides which modes of a pair (A, B) the
 input cannot reach: condition 2 of the analysis and the placement's
@@ -46,9 +46,8 @@ class UnstabilizableMode(ValueError):
 
 
 class PlacementError(RuntimeError):
-    """No candidate gain put every computed eigenvalue of A + B F inside the
-    disk.  norm_F and max_eig describe the last candidate (NaN if none could
-    be formed)."""
+    """The placed gain leaves a computed eigenvalue of A + B F on or outside
+    the disk.  norm_F and max_eig describe that gain."""
 
     def __init__(self, radius, norm_F, max_eig):
         self.radius, self.norm_F, self.max_eig = float(radius), float(norm_F), float(max_eig)
@@ -232,40 +231,29 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
     )
 
 
-def _ackermann(Ac, bc, targets):
-    # Single-input gain for char poly prod (lambda - t_i); deadbeat when all 0.
-    r = Ac.shape[0]
-    K = kalman_matrix(Ac, bc.reshape(r, 1))
-    coeffs = np.atleast_1d(np.poly(targets)) if len(targets) else np.array([1.0])
-    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
-        raise ValueError("placement targets must be closed under conjugation")
-    coeffs = coeffs.real
-    pA = np.zeros_like(Ac)
-    for c in coeffs:
-        pA = pA @ Ac + c * np.eye(r)
-    x = np.linalg.solve(K.T, np.eye(r)[:, -1])
-    return -(x @ pA)
-
-
 def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_RANK_TOL):
     """Gain F such that every computed eigenvalue of A + B F has modulus
     < radius.
 
-    Controllable modes are moved to `targets` (default: all zero, deadbeat),
-    confined to the controllable block of the staircase form.  A candidate is
-    accepted only when max |eigvals(A + B F)| < radius: the computed spectrum
-    is tested, and no condition number bounds how far the exact spectrum of
-    the float A + B F lies from it.  Raises UnstabilizableMode when a nonzero
-    uncontrollable eigenvalue has modulus >= radius, and PlacementError when
-    no candidate passes; a deadbeat loop whose rounding scatter, about
-    ||A + B F|| eps^(1/n), reaches the radius fails too.  The rule is the
-    same when B reaches no mode (F = 0) and for an uncontrollable block the
-    staircase counts as zero.
+    Controllable modes are moved to `targets` (default: all zero, deadbeat)
+    one input column at a time (Miminis & Paige, Int. J. Control 35, 1982).
+    Column k places the r_k modes it reaches among those the earlier columns
+    left at the next r_k targets, by Ackermann's formula on its staircase's
+    Hessenberg form H with input beta e1, where e_r^T K^-1 = e_r^T / (beta
+    prod diag(H, -1)); its row vanishes on the earlier blocks, which so keep
+    their targets.  For one input this is the unique single-input gain.  The
+    gain is accepted only when max |eigvals(A + B F)| < radius; no condition
+    number bounds how far the exact spectrum of the float A + B F lies from
+    the computed one.  Raises UnstabilizableMode when a nonzero
+    uncontrollable eigenvalue has modulus >= radius, ValueError when a
+    block's targets are not closed under conjugation, and PlacementError
+    when the gain fails the test, as a deadbeat loop does once its rounding
+    scatter, about ||A + B F|| eps^(1/n), reaches the radius.  The rule is
+    the same for F = 0 (B reaches no mode) and for uncontrollable zero blocks.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    m = B.shape[1]
+    n, m = B.shape
     if radius <= 0:
         raise ValueError("radius must be positive")
     st = controllable_staircase(A, B, tol)
@@ -273,12 +261,6 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
     mu = max((mu for mu, _ in st.uncontrollable_modes()), key=abs, default=0.0)
     if abs(mu) >= radius:
         raise UnstabilizableMode(mu)
-    if r == 0:
-        # F = 0 is the only gain, under the same rule
-        max_eig = float(np.max(np.abs(np.linalg.eigvals(A)), initial=0.0))
-        if max_eig < radius:
-            return np.zeros((m, n))
-        raise PlacementError(radius, 0.0, max_eig)
     if targets is None:
         targets = [0.0] * r
     targets = sorted((complex(t) for t in targets), key=lambda z: (abs(z), z.real, z.imag))
@@ -286,30 +268,31 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
         raise ValueError(f"need exactly {r} placement targets, got {len(targets)}")
     if any(abs(t) >= radius for t in targets):
         raise ValueError("placement targets must lie inside the disk")
-    Ac = st.A_t[:r, :r]
-    Bc = st.B_t[:r, :]
 
-    # one input direction v and a random pre-feedback F0 per attempt; for
-    # m = 1, v = +-1 and F0 = 0, so the one attempt is Ackermann on (Ac, Bc)
-    norm_F = max_eig = math.nan
-    for attempt in range(24 if m > 1 else 1):
-        rng = np.random.default_rng(1234 + attempt)
-        v = rng.standard_normal(m)
-        v /= np.linalg.norm(v)
-        F0 = np.zeros((m, r)) if attempt == 0 else 0.5 * rng.standard_normal((m, r))
-        A1c = Ac + Bc @ F0
-        b1 = Bc @ v
-        if controllable_staircase(A1c, b1.reshape(r, 1), tol).n_controllable < r:
+    F = np.zeros((m, n))
+    P = st.Q[:, :r]  # orthonormal basis of the modes no column has placed yet
+    sizes = []
+    for k in range(m):
+        sk = controllable_staircase(P.T @ A @ P, P.T @ B[:, k:k + 1], tol)
+        rk = sk.n_controllable
+        if rk == 0:
             continue
-        try:
-            f = _ackermann(A1c, b1, targets)
-        except np.linalg.LinAlgError:
-            continue
-        F = np.zeros((m, n))
-        F[:, :r] = F0 + np.outer(v, f)
-        F = F @ st.Q.T
-        max_eig = float(np.max(np.abs(np.linalg.eigvals(A + B @ F))))
-        if max_eig < radius:
-            return F
-        norm_F = float(np.linalg.norm(F, 2))
-    raise PlacementError(radius, norm_F, max_eig)
+        sizes.append(rk)
+        share, targets = targets[:rk], targets[rk:]
+        coeffs = np.atleast_1d(np.poly(share))
+        if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
+            raise ValueError("placement targets must be closed under conjugation within "
+                             f"each input's block; block sizes so far {sizes}")
+        H = sk.A_t[:rk, :rk]
+        # g = -e_r^T K^-1 p(H), with e_r^T p(H) by Horner on the row
+        row = np.zeros(rk)
+        for c in coeffs.real:
+            row = row @ H
+            row[-1] += c
+        g = -row / (sk.B_t[0, 0] * np.prod(np.diag(H, -1)))
+        F[k] = g @ sk.Q[:, :rk].T @ P.T
+        P = P @ sk.Q[:, rk:]
+    max_eig = float(np.max(np.abs(np.linalg.eigvals(A + B @ F))))
+    if max_eig < radius:
+        return F
+    raise PlacementError(radius, np.linalg.norm(F, 2), max_eig)

@@ -69,20 +69,20 @@ def synthesize_stage1(
     sys: NeutralSystem,
     omega: float,
     region: SpectrumRegion | None = None,
-    targets=None,
     tol_rank: float = DEFAULT_RANK_TOL,
     tol_root: float = DEFAULT_ROOT_TOL,
 ) -> StabilizationPlan:
     """Choose F_minus1 for decay rate omega and report the residual spectrum.
 
-    Controllable modes of A_minus1 go to the `targets` (default all zero).
-    stage1_ok requires every chain left of -omega.  The default region is
-    default_region of the closed loop, reaching at least to -omega - 1.
-    Raises Condition2Violated when some nonzero eigenvalue of A_minus1 is
-    immovable, and PlacementError when no gain puts every computed
-    eigenvalue of A_minus1 + B F_minus1 inside the disk of radius e^{-omega}.
+    Controllable modes of A_minus1 are placed at zero (deadbeat), one input
+    column at a time (linalg.pole_place_nonzero).  stage1_ok requires every
+    chain left of -omega.  The default region is default_region of the
+    closed loop, reaching at least to -omega - 1.  Raises Condition2Violated
+    when some nonzero eigenvalue of A_minus1 is immovable, and
+    PlacementError when the placed gain leaves a computed eigenvalue of
+    A_minus1 + B F_minus1 on or outside the disk of radius e^{-omega}.
     """
-    F, inter = _stage1_loop(sys, omega, targets, tol_rank)
+    F, inter = _stage1_loop(sys, omega, tol_rank)
     if region is None:
         region = _decay_region(inter, omega)
     chains = tuple(predict_chains(inter))
@@ -105,17 +105,17 @@ def synthesize_stage1(
 
 def _plan_region(sys, omega, tol_rank):
     # the region synthesize_stage1 searches when given none
-    return _decay_region(_stage1_loop(sys, omega, None, tol_rank)[1], omega)
+    return _decay_region(_stage1_loop(sys, omega, tol_rank)[1], omega)
 
 
-def _stage1_loop(sys, omega, targets, tol_rank):
+def _stage1_loop(sys, omega, tol_rank):
     # the stage-1 gain F_minus1 and the closed loop it makes
     if not 0 < omega < math.inf:
         raise ValueError(f"omega must be finite and positive, got {omega}")
     c2 = check_condition2(sys, tol_rank)
     if not c2.passed:
         raise Condition2Violated(max((w.lam for w in c2.witnesses), key=abs))
-    F = pole_place_nonzero(sys.A_minus1, sys.B, math.exp(-omega), targets=targets, tol=tol_rank)
+    F = pole_place_nonzero(sys.A_minus1, sys.B, math.exp(-omega), tol=tol_rank)
     return F, apply_feedback(sys, FeedbackLaw(F, np.zeros_like(F), np.zeros_like(F)))
 
 

@@ -355,9 +355,14 @@ def parse_history(text: str):
     obj = _load_object(text, {"z", "dz"})
     if "z" not in obj:
         raise SystemFormatError("history file must be an object with a 'z' array")
-    try:
-        z = np.asarray(obj["z"], dtype=float)
-        dz = None if obj.get("dz") is None else np.asarray(obj["dz"], dtype=float)
-    except TypeError as e:  # a JSON object among the samples
-        raise SystemFormatError(f"history samples must be numbers: {e}") from e
-    return z, dz
+    return _samples(obj, "z"), None if obj.get("dz") is None else _samples(obj, "dz")
+
+
+def _samples(obj, name):
+    # JSON numbers only, for np.asarray reads "0.5" and true as numbers; NaN
+    # and infinities pass, for History to say where they are
+    leaves = lambda x: [y for r in x for y in leaves(r)] if isinstance(x, list) else [x]
+    bad = [x for x in leaves(obj[name]) if not (isinstance(x, float) or _is_number(x))]
+    if bad:
+        raise SystemFormatError(f"history samples must be numbers: {name} holds {bad[0]!r}")
+    return np.asarray(obj[name], dtype=float)

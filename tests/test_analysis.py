@@ -1,3 +1,6 @@
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,6 +398,59 @@ def test_condition1_invariant_under_real_similarity(sys, seed):
         return
     assert other.passed == base.passed
     assert _same_mus([w.lam for w in base.witnesses], [w.lam for w in other.witnesses])
+
+
+def _verdict_summary(check, sys):
+    # what a verdict reports beside its witness vectors
+    v = _verdict_or_error(check, sys)
+    if isinstance(v, type):
+        return v
+    return [(c.passed, [w.lam for w in c.witnesses], [w.rank_found for w in c.witnesses])
+            for c in (v.condition1, v.condition2)]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_small_systems(with_output=True), st.integers(-10, 10))
+def test_verdicts_do_not_depend_on_the_units_of_input_and_output(sys, k):
+    # condition 1 ranked [D(lambda), B] as given, so 1e-8 B or 1e8 B failed
+    # systems that B passed; now B (and C through the dual) is ranked at unit
+    # norm, as condition 2 always did
+    s = 10.0**k
+    assert _verdict_summary(check_stabilizability, sys) == _verdict_summary(
+        check_stabilizability, dataclasses.replace(sys, B=s * sys.B))
+    assert _verdict_summary(check_final_observability, sys) == _verdict_summary(
+        check_final_observability, dataclasses.replace(sys, C=s * sys.C))
+
+
+def _mp_relative_sigma_min(M):
+    # sigma_min / sigma_max of M in 30-digit arithmetic
+    with mpmath.workdps(30):
+        s = mpmath.svd_c(mpmath.matrix(M.tolist()), compute_uv=False)
+        return float(min(s) / max(s))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_condition1_planted_failure_at_every_input_scale(scale):
+    # the input reaches the modes -1 and -1.1 but not -11; ranked as given,
+    # [D(-1), B] lost a rank both at 1e-8 (B below D's scale) and at 1e8 (D's
+    # 0.1 below B's scale), and -1 and -1.1 became false witnesses
+    A0 = np.diag([-1.0, -1.1, -11.0])
+    b = np.array([[1.0], [1.0], [0.0]])
+    sys = NeutralSystem(n=3, m=1, p=1, A_minus1=np.zeros((3, 3)), A0=A0, A1=np.zeros((3, 3)),
+                        B=scale * b, C=scale * b.T)
+    region = SpectrumRegion(-12.0, 1.0, -2.0, 2.0)
+    ctrl = check_condition1(sys, region)
+    obs = check_final_observability(sys, region).condition1
+    for res in (ctrl, obs):
+        assert not res.passed
+        (w,) = res.witnesses
+        assert abs(w.lam + 11.0) < 1e-12 and w.rank_found == 2
+        assert abs(abs(w.null_vector[2]) - 1.0) < 1e-12
+    b_unit = b / np.linalg.norm(b)
+    for lam in (-1.0, -1.1, -11.0):
+        ratio = _mp_relative_sigma_min(np.hstack([lam * np.eye(3) - A0, b_unit]))
+        # the witness is exact; the other roots clear the cutoff 1e-9 (n + m)
+        assert ratio < 1e-25 if lam == -11.0 else ratio > 1e-3
 
 
 def test_similarity_invariance(ex5):

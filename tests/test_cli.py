@@ -423,3 +423,42 @@ def test_runtime_needs_numpy_only(ex5_file, tmp_path):
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
     assert "numpy" in loaded
     assert not loaded & {"scipy", "mpmath", "sympy", "hypothesis"}
+
+
+@pytest.mark.parametrize("sample", ['"0.5"', "true"])
+def test_history_samples_must_be_json_numbers(ex3_file, tmp_path, capsys, sample):
+    # "0.5" and true were read as 0.5 and 1.0, and the run exited 0
+    theta = -1.0 + np.arange(101) / 100
+    rows = [json.dumps(row) for row in np.stack([theta + 1.0, np.ones_like(theta)], 1).tolist()]
+    rows[5] = f"[{sample}, 1.0]"
+    hist = tmp_path / "history.json"
+    hist.write_text('{"z": [' + ", ".join(rows) + "]}")
+    out = tmp_path / "out"
+    code = run("simulate", "--system", str(ex3_file), "--history", str(hist), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: SystemFormatError: history samples must be numbers: z holds {json.loads(sample)!r}\n")
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # each command takes only the tolerances it reads: these exited 0 and
+    # ignored the value
+    ["spectrum", "--tol-rank", "nan"],
+    ["simulate", "--tol-root", "nan"],
+    ["spectrum", "--no-such-flag"],
+    ["check-stabilizability"],  # no --system
+])
+def test_usage_errors_exit_1(ex5_file, tmp_path, capsys, argv):
+    # argparse exits 2, which the CLI keeps for a definite negative verdict
+    if argv != ["check-stabilizability"]:
+        argv = [*argv, "--system", str(ex5_file)]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert run(*argv) == 0
+    assert capsys.readouterr().out.startswith("usage: neutralctl")

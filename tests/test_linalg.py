@@ -294,3 +294,50 @@ def test_pole_place_uncontrollable_nilpotent_block_under_one_rule(reached):
     with pytest.raises(PlacementError) as err:
         pole_place_nonzero(A, B, 1e-6)
     assert 1e-6 <= err.value.max_eig < 1e-4
+
+
+def test_pole_place_one_column_per_mode_is_exact():
+    # each column reaches one mode and places it at zero with the gain -1.5,
+    # so the closed loop is exactly zero; a random single-input reduction
+    # gave a gain of norm 630 whose deadbeat scatter missed the disk
+    A, B = 1.5 * np.eye(3), np.eye(3)
+    F = pole_place_nonzero(A, B, 1e-9)
+    assert np.array_equal(A + B @ F, np.zeros((3, 3)))
+
+
+def _mp_ackermann(A, b, c):
+    # -e_n^T K^-1 p(A) for p(z) = z^n - c^n, K = [b, Ab, ..., A^(n-1) b], in
+    # 50-digit arithmetic
+    n = A.shape[0]
+    with mpmath.workdps(50):
+        Am, col = mpmath.matrix(A.tolist()), mpmath.matrix(b.tolist())
+        K = mpmath.matrix(n, n)
+        for j in range(n):
+            for i in range(n):
+                K[i, j] = col[i]
+            col = Am * col
+        e_n = mpmath.matrix(n, 1)
+        e_n[n - 1] = 1
+        row = mpmath.lu_solve(K.T, e_n).T * (Am**n - mpmath.mpf(c) ** n * mpmath.eye(n))
+        return -np.array([float(x) for x in row])
+
+
+def test_pole_place_single_input_gain_against_mpmath_ackermann():
+    # one input has one gain for a given spectrum, which Ackermann's formula
+    # gives through the Kalman matrix; the placement never forms that matrix
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        A, b = rng.standard_normal((n, n)), rng.standard_normal((n, 1))
+        assert controllable_staircase(A, b).n_controllable == n
+        targets = [0.3 * np.exp(2j * np.pi * k / n) for k in range(n)]
+        F = pole_place_nonzero(A, b, 0.5, targets=targets)
+        ref = _mp_ackermann(A, b, 0.3)
+        assert np.linalg.norm(F[0] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def test_pole_place_targets_splitting_a_conjugate_pair_between_inputs():
+    # each column of B = I reaches one mode of A = I, and no real gain row
+    # places one mode at 0.1 + 0.1j
+    with pytest.raises(ValueError, match=r"closed under conjugation .*block sizes so far \[1\]"):
+        pole_place_nonzero(np.eye(2), np.eye(2), 0.5, targets=[0.1 + 0.1j, 0.1 - 0.1j])
