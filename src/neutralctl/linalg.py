@@ -40,9 +40,7 @@ class UnstabilizableMode(ValueError):
 
     def __init__(self, mu):
         self.mu = complex(mu)
-        super().__init__(
-            f"uncontrollable eigenvalue {self.mu} cannot be moved inside the disk"
-        )
+        super().__init__(f"uncontrollable eigenvalue {self.mu} cannot be moved inside the disk")
 
 
 class PlacementError(RuntimeError):
@@ -222,13 +220,7 @@ def controllable_staircase(A, B, tol: float = DEFAULT_RANK_TOL) -> Staircase:
             break
         blk = A_t[row0:, prev:row0]
         blk_scale = 1.0
-    return Staircase(
-        Q=Q,
-        n_controllable=row0,
-        A_t=A_t,
-        B_t=B_t,
-        rank_cutoff=cutoff,
-    )
+    return Staircase(Q=Q, n_controllable=row0, A_t=A_t, B_t=B_t, rank_cutoff=cutoff)
 
 
 def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_RANK_TOL):
@@ -241,15 +233,17 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
     left at the next r_k targets, by Ackermann's formula on its staircase's
     Hessenberg form H with input beta e1, where e_r^T K^-1 = e_r^T / (beta
     prod diag(H, -1)); its row vanishes on the earlier blocks, which so keep
-    their targets.  For one input this is the unique single-input gain.  The
-    gain is accepted only when max |eigvals(A + B F)| < radius; no condition
-    number bounds how far the exact spectrum of the float A + B F lies from
-    the computed one.  Raises UnstabilizableMode when a nonzero
-    uncontrollable eigenvalue has modulus >= radius, ValueError when a
-    block's targets are not closed under conjugation, and PlacementError
-    when the gain fails the test, as a deadbeat loop does once its rounding
-    scatter, about ||A + B F|| eps^(1/n), reaches the radius.  The rule is
-    the same for F = 0 (B reaches no mode) and for uncontrollable zero blocks.
+    their targets.  A column whose part on the modes left is at the
+    staircase's rank cutoff, as one the earlier columns span, places none.
+    For one input this is the unique single-input gain.  The gain is
+    accepted only when max |eigvals(A + B F)| < radius; no condition number
+    bounds how far the exact spectrum of the float A + B F lies from the
+    computed one.  Raises UnstabilizableMode when a nonzero uncontrollable
+    eigenvalue has modulus >= radius, ValueError when a block's targets are
+    not closed under conjugation, and PlacementError when the gain fails the
+    test, as a deadbeat loop does once its rounding scatter, about
+    ||A + B F|| eps^(1/n), reaches the radius.  The rule is the same for
+    F = 0 (B reaches no mode) and for uncontrollable zero blocks.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -263,26 +257,30 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
         raise UnstabilizableMode(mu)
     if targets is None:
         targets = [0.0] * r
-    targets = sorted((complex(t) for t in targets), key=lambda z: (abs(z), z.real, z.imag))
+    # the j-th copies of z and conj(z) sort side by side: no even share splits a pair
+    targets = [complex(t) for t in targets]
+    targets = [z for *_, z in sorted((abs(z), z.real, abs(z.imag), targets[:j].count(z), z.imag, z)
+                                     for j, z in enumerate(targets))]
     if len(targets) != r:
         raise ValueError(f"need exactly {r} placement targets, got {len(targets)}")
-    if any(abs(t) >= radius for t in targets):
+    if not all(abs(t) < radius for t in targets):
         raise ValueError("placement targets must lie inside the disk")
 
     F = np.zeros((m, n))
     P = st.Q[:, :r]  # orthonormal basis of the modes no column has placed yet
-    sizes = []
     for k in range(m):
-        sk = controllable_staircase(P.T @ A @ P, P.T @ B[:, k:k + 1], tol)
-        rk = sk.n_controllable
-        if rk == 0:
+        b = P.T @ B[:, k]
+        # ranked as the staircase ranks B: a column the earlier ones already
+        # span leaves only rounding here, which must reach no mode
+        if np.linalg.norm(b) <= st.rank_cutoff * np.linalg.norm(B):
             continue
-        sizes.append(rk)
+        sk = controllable_staircase(P.T @ A @ P, b.reshape(-1, 1), tol)
+        rk = sk.n_controllable
         share, targets = targets[:rk], targets[rk:]
         coeffs = np.atleast_1d(np.poly(share))
         if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
             raise ValueError("placement targets must be closed under conjugation within "
-                             f"each input's block; block sizes so far {sizes}")
+                             f"each input's block; input {k}'s block of {rk} gets {share}")
         H = sk.A_t[:rk, :rk]
         # g = -e_r^T K^-1 p(H), with e_r^T p(H) by Horner on the row
         row = np.zeros(rk)

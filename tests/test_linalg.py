@@ -339,5 +339,51 @@ def test_pole_place_single_input_gain_against_mpmath_ackermann():
 def test_pole_place_targets_splitting_a_conjugate_pair_between_inputs():
     # each column of B = I reaches one mode of A = I, and no real gain row
     # places one mode at 0.1 + 0.1j
-    with pytest.raises(ValueError, match=r"closed under conjugation .*block sizes so far \[1\]"):
+    with pytest.raises(ValueError, match=r"closed under conjugation .*input 0's block of 1 "):
         pole_place_nonzero(np.eye(2), np.eye(2), 0.5, targets=[0.1 + 0.1j, 0.1 - 0.1j])
+
+
+def test_pole_place_repeated_conjugate_pair_between_inputs():
+    # each column reaches two modes; the pair 0.05j, -0.05j given twice must
+    # be dealt one copy of each to each column, whatever the order given
+    A = np.diag([1.0, 2.0, 3.0, 4.0])
+    B = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    F = pole_place_nonzero(A, B, 0.1, targets=[0.05j, 0.05j, -0.05j, -0.05j])
+    eig = np.linalg.eigvals(A + B @ F)
+    assert np.allclose(sorted(eig, key=lambda z: z.imag), [-0.05j, -0.05j, 0.05j, 0.05j],
+                       atol=1e-12)
+
+
+def test_pole_place_redundant_input_column():
+    # the second column repeats the first, so after the first places its mode
+    # only rounding of it is left; it must reach no mode, and the third column
+    # places the other one
+    Q = np.linalg.qr(np.random.default_rng(7).standard_normal((2, 2)))[0]
+    A = Q @ np.diag([1.0, 2.0]) @ Q.T
+    B = Q @ np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    F = pole_place_nonzero(A, B, 0.1)
+    assert np.max(np.abs(np.linalg.eigvals(A + B @ F))) < 1e-12
+    assert np.linalg.norm(F) < 10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_pole_place_with_a_dependent_input_column(k1, k2, t, seed):
+    # A = diag(A1, A2) under a random rotation, b reaches only A1's modes and
+    # c only A2's; the column t b (or 0) that repeats b must reach no mode
+    rng = np.random.default_rng(seed)
+    n = k1 + k2
+    A = np.zeros((n, n))
+    A[:k1, :k1] = rng.standard_normal((k1, k1))
+    A[k1:, k1:] = rng.standard_normal((k2, k2))
+    b = np.r_[rng.standard_normal(k1), np.zeros(k2)]
+    c = np.r_[np.zeros(k1), rng.standard_normal(k2)]
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A, B = Q @ A @ Q.T, Q @ np.c_[b, t * b, c]
+    F = pole_place_nonzero(A, B, 0.1)
+    assert np.max(np.abs(np.linalg.eigvals(A + B @ F))) < 0.1
+
+
+def test_pole_place_rejects_nan_target():
+    with pytest.raises(ValueError, match="inside the disk"):
+        pole_place_nonzero(np.eye(1), np.eye(1), 0.5, targets=[float("nan")])
