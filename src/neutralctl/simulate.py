@@ -380,10 +380,10 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + [f"u_{i + 1}" for i in range(m)]
     )
     table = np.column_stack((traj.t, traj.z, traj.dz, traj.u))
-    lines = [",".join(header)]
-    # converting a block of rows at a time keeps the Python floats of the
-    # whole table from being alive at once
+    blocks = [",".join(header)]
+    # one string per block of 256 rows keeps neither the Python floats nor the
+    # row strings of the whole table alive at once
     for k in range(0, table.shape[0], 256):
-        lines.extend(",".join(map(repr, row)) for row in table[k : k + 256].tolist())
-    lines.append("")
-    return "\n".join(lines)
+        blocks.append("\n".join(",".join(map(repr, row)) for row in table[k : k + 256].tolist()))
+    blocks.append("")
+    return "\n".join(blocks)

@@ -742,6 +742,10 @@ def _check_sum(roots, count, what):
         raise RootAccountingError(f"refined multiplicities sum to {got}, {what} count is {count}")
 
 
+# (key, roots) of the last find_roots search that completed
+_last_search = None
+
+
 def find_roots(
     sys: NeutralSystem,
     region: SpectrumRegion,
@@ -767,10 +771,30 @@ def find_roots(
     rounded to 9 decimals, Im) and closed under conjugation bit for bit.
     A tol that is not finite and positive raises ValueError: no residual
     would pass it, and the search would split down to _MIN_LEAF.
+
+    The last search that completed is remembered.  A call whose symmetrized
+    region, tol, A_minus1, A0, A1 and kernels are all bit-identical to it
+    (0.0 and -0.0 differ, and so do the bounds 2 and 2.0) returns a new list
+    of its Root objects without evaluating D; B, C, m and p are not read,
+    so a system and its transposed dual share one search.  A search that
+    raises is not remembered and leaves the earlier one in place.
     """
+    global _last_search
     if not 0 < tol < math.inf:
         raise ValueError(f"root tolerance must be finite and positive, got {tol}")
     region = region.symmetrized()
+    # every input of the search, exactly: the scalars by repr, which is what
+    # _inflate hashes (the bounds 2 and 2.0 give different contours) and tells
+    # -0.0 from 0.0, and the coefficient matrices by their bytes
+    key = (repr((region, tol, [(s.a, s.b) for s in sys.kernels])),
+           *(M.tobytes() for M in (sys.A_minus1, sys.A0, sys.A1)),
+           *(M.tobytes() for s in sys.kernels for M in (s.A2, s.A3)))
+    if _last_search is None or _last_search[0] != key:
+        _last_search = key, tuple(_search(sys, region, tol))
+    return list(_last_search[1])
+
+
+def _search(sys, region, tol):
     total, rect, sides = _outer_contour(sys, region)
     if not total:
         return []

@@ -365,4 +365,13 @@ def _samples(obj, name):
     bad = [x for x in leaves(obj[name]) if not (isinstance(x, float) or _is_number(x))]
     if bad:
         raise SystemFormatError(f"history samples must be numbers: {name} holds {bad[0]!r}")
-    return np.asarray(obj[name], dtype=float)
+    # numpy names no row of a ragged table
+    rows = obj[name]
+    if isinstance(rows, list):
+        width = [len(r) if isinstance(r, list) else None for r in rows]
+        i = next((i for i, w in enumerate(width) if w != width[0]), None)
+        if i is not None:
+            said = [f"row {k} is a number" if width[k] is None
+                    else f"row {k} has {width[k]} value" + "s" * (width[k] != 1) for k in (i, 0)]
+            raise SystemFormatError(f"history {name} rows must have equal length: {', '.join(said)}")
+    return np.asarray(rows, dtype=float)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from neutralctl import NeutralSystem
+from neutralctl import NeutralSystem, spectrum
 
 Z2 = np.zeros((2, 2))
+
+
+@pytest.fixture(autouse=True)
+def cold_root_search():
+    # every test starts with no remembered find_roots search
+    spectrum._last_search = None
 
 
 @pytest.fixture

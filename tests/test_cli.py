@@ -368,6 +368,18 @@ def test_history_of_json_objects_is_a_format_error(ex3_file, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: SystemFormatError: history samples ")
 
 
+def test_history_with_ragged_rows_is_a_format_error(ex3_file, tmp_path, capsys):
+    # numpy's ValueError, naming no field or row, before
+    hist = tmp_path / "history.json"
+    hist.write_text('{"z": [[0, 1], [1]]}')
+    out = tmp_path / "out"
+    code = run("simulate", "--system", str(ex3_file), "--history", str(hist), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: SystemFormatError: history z rows must have equal "
+                                       "length: row 1 has 1 value, row 0 has 2 values\n")
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_directory_as_system_is_operational_error(tmp_path, capsys):
     # an IsADirectoryError traceback before
     code = run("spectrum", "--system", str(tmp_path), "--out", str(tmp_path / "out"))

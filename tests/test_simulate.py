@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -310,6 +312,37 @@ def test_trajectory_csv_format(ex5):
     lines = text.strip().split("\n")
     assert lines[0] == "t,z_1,z_2,dz_1,dz_2,u_1"
     assert len(lines) == traj.t.size + 1
+
+
+def _random_trajectory(rows, n=3, m=1):
+    # a table of 1 + 2n + m columns of random floats
+    rng = np.random.default_rng(rows)
+    return Trajectory(h=0.01, t=0.01 * np.arange(rows), z=rng.standard_normal((rows, n)),
+                      dz=rng.standard_normal((rows, n)), u=rng.standard_normal((rows, m)),
+                      v0=np.zeros(n))
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 2001])
+def test_trajectory_csv_blocks_match_rows(rows):
+    # joining 256-row blocks writes the bytes of joining every row
+    traj = _random_trajectory(rows)
+    table = np.column_stack((traj.t, traj.z, traj.dz, traj.u))
+    lines = ["t,z_1,z_2,z_3,dz_1,dz_2,dz_3,u_1"]
+    lines += [",".join(repr(x) for x in row) for row in table.tolist()]
+    assert trajectory_to_csv(traj) == "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_memory():
+    # a 2,001 x 8 table of 289,567 bytes peaks at 715,246 bytes (826,942
+    # while every row string lived until one final join)
+    traj = _random_trajectory(2001)
+    tracemalloc.start()
+    try:
+        trajectory_to_csv(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 760_000
 
 
 def test_initial_derivative_jump_recorded(ex3):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from neutralctl import (
     roots_to_csv,
     spectral_abscissa,
     spectral_right_bound,
+    transpose_dual,
 )
 from neutralctl import spectrum
 from neutralctl.spectrum import (
@@ -311,6 +313,7 @@ def test_find_roots_rejects_a_tolerance_no_residual_passes(ex5, tol, monkeypatch
 def test_find_roots_repeatable(ex5):
     region = SpectrumRegion(-1, 1, -15, 15)
     r1 = find_roots(ex5, region)
+    spectrum._last_search = None  # a second search, not the remembered first
     r2 = find_roots(ex5, region)
     assert [(r.lam, r.multiplicity, r.residual) for r in r1] == [
         (r.lam, r.multiplicity, r.residual) for r in r2
@@ -399,6 +402,7 @@ def test_find_roots_memory_on_a_tall_window(monkeypatch):
     sys = kernel_system()
     region = SpectrumRegion(-4, 3, -25, 25)
     find_roots(sys, region)
+    spectrum._last_search = None  # measure a search, not the remembered first
     batches = count_points(monkeypatch, "delta_many")
     tracemalloc.start()
     try:
@@ -509,6 +513,134 @@ def test_failing_outer_contour_is_integrated_once(monkeypatch):
     with pytest.raises(ContourThroughZero, match=r"on edge \(-800\.\d+-5\.\d+j\) -> \(-699\."):
         find_roots(scalar_system(a_minus1=0.5), SpectrumRegion(-800, -700, -5, 5))
     assert sum(points) <= 2_000
+
+
+def _memo_system():
+    # kernel_system with an output, so that it has a transposed dual
+    return replace(kernel_system(), p=1, C=[[1.0, 0.0]])
+
+
+def _ulp(M):
+    # M with its first entry moved up by one ulp
+    M = np.array(M, dtype=float)
+    M.flat[0] = np.nextafter(M.flat[0], math.inf)
+    return M
+
+
+def _with_kernel(sys, **fields):
+    return replace(sys, kernels=(replace(sys.kernels[0], **fields), *sys.kernels[1:]))
+
+
+_MEMO_REGION = SpectrumRegion(-2.0, 0.0, -4.0, 4.0)
+_EX5_REGION = SpectrumRegion(-1.0, 1.0, -8.0, 8.0)
+
+
+def test_repeated_search_evaluates_no_d(monkeypatch):
+    # the second search of the same inputs is the remembered first: the same
+    # Root objects in a new list, with no D evaluated; the key holds the
+    # symmetrized region
+    sys = _memo_system()
+    first = find_roots(sys, _MEMO_REGION)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    again = find_roots(sys, _MEMO_REGION)
+    lower = find_roots(sys, SpectrumRegion(-2.0, 0.0, -4.0, 1.0))
+    assert points == []
+    assert first and again == first == lower
+    assert again is not first and lower is not again
+    assert all(a is b for a, b in zip(again, first))
+
+
+@pytest.mark.parametrize("change", [
+    "A_minus1", "A0", "A1", "A2", "A3", "a", "b", "kernel b -0.0",
+    "re_min", "re_max", "im_max", "re_max -0.0", "int bounds", "tol",
+])
+def test_search_changed_by_one_ulp_is_searched_again(change, monkeypatch):
+    # every input of the search is part of the key, bit for bit: one ulp,
+    # -0.0 for 0.0 or an int bound for its float (which _inflate hashes
+    # differently) is a new search, equal to a cold one
+    sys, region, tol = _memo_system(), _MEMO_REGION, 1e-9
+    if change in ("A_minus1", "A0", "A1"):
+        sys = replace(sys, **{change: _ulp(getattr(sys, change))})
+    elif change in ("A2", "A3"):
+        sys = _with_kernel(sys, **{change: _ulp(getattr(sys.kernels[0], change))})
+    elif change in ("a", "b"):
+        sys = _with_kernel(sys, **{change: float(np.nextafter(getattr(sys.kernels[0], change), 0.0))})
+    elif change == "kernel b -0.0":
+        seg = sys.kernels[1]
+        assert seg.b == 0.0 and math.copysign(1.0, seg.b) == 1.0
+        sys = replace(sys, kernels=(sys.kernels[0], replace(seg, b=-0.0)))
+    elif change in ("re_min", "re_max", "im_max"):
+        region = replace(region, **{change: float(np.nextafter(getattr(region, change), math.inf))})
+    elif change == "re_max -0.0":
+        region = replace(region, re_max=-0.0)
+    elif change == "int bounds":
+        region = SpectrumRegion(-2, 0, -4, 4)
+    else:
+        tol = float(np.nextafter(tol, 1.0))
+    find_roots(_memo_system(), _MEMO_REGION)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    roots = find_roots(sys, region, tol)
+    assert points
+    spectrum._last_search = None
+    assert find_roots(sys, region, tol) == roots
+
+
+def test_search_of_another_system_in_between_is_forgotten(ex5, monkeypatch):
+    sys = _memo_system()
+    find_roots(sys, _MEMO_REGION)
+    find_roots(ex5, _EX5_REGION)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    find_roots(sys, _MEMO_REGION)
+    assert points
+
+
+def test_search_ignores_inputs_and_outputs(monkeypatch):
+    # B, C, m and p are not read by the search: a new B or C alone reuses the
+    # first search, and a hand-transposed dual reuses the transposed dual's
+    sys = _memo_system()
+    first = find_roots(sys, _MEMO_REGION)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    for other in (replace(sys, B=[[5.0], [1.0]]), replace(sys, C=[[0.0, 1.0], [2.0, 2.0]], p=2)):
+        assert find_roots(other, _MEMO_REGION) == first
+    assert points == []
+    dual = transpose_dual(sys)
+    roots = find_roots(dual, _MEMO_REGION)
+    assert points
+    del points[:]
+    hand = NeutralSystem(
+        n=2, m=1, p=1, A_minus1=sys.A_minus1.T, A0=sys.A0.T, A1=sys.A1.T,
+        B=sys.C.T, C=sys.B.T,
+        kernels=tuple(KernelSegment(s.a, s.b, s.A2.T, s.A3.T) for s in sys.kernels),
+    )
+    for other in (hand, replace(dual, B=[[2.0, 0.5], [1.0, 3.0]], m=2),
+                  replace(dual, C=[[0.0, 7.0]])):
+        assert find_roots(other, _MEMO_REGION) == roots
+    assert points == []
+
+
+def test_raised_search_is_not_remembered(ex5, monkeypatch):
+    # the far-left window of test_failing_outer_contour_is_integrated_once
+    # raises each time, evaluating D each time, and leaves the search before
+    # it remembered
+    good = find_roots(ex5, _EX5_REGION)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    sys, region = scalar_system(a_minus1=0.5), SpectrumRegion(-800, -700, -5, 5)
+    for _ in range(2):
+        del points[:]
+        with pytest.raises(ContourThroughZero, match=r"on edge \(-800\."):
+            find_roots(sys, region)
+        assert points
+    del points[:]
+    assert find_roots(ex5, _EX5_REGION) == good
+    assert points == []
+
+
+def test_editing_a_returned_list_does_not_change_the_next(ex5):
+    roots = find_roots(ex5, _EX5_REGION)
+    kept = list(roots)
+    roots.append(roots[0])
+    roots.reverse()
+    assert find_roots(ex5, _EX5_REGION) == kept
 
 
 def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):

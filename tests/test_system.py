@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from neutralctl import (
     transpose_dual,
     zero_law,
 )
+from neutralctl.system import parse_history
 
 
 def test_parse_minimal():
@@ -223,3 +225,16 @@ def test_apply_feedback_dimension_mismatch(ex5):
 def test_system_arrays_immutable(ex5):
     with pytest.raises(ValueError):
         ex5.A0[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"z": [[0, 1], [1]]}', "z rows must have equal length: row 1 has 1 value, row 0 has 2 values"),
+    ('{"z": [[0, 1], [1, 2]], "dz": [[0, 1], [1]]}',
+     "dz rows must have equal length: row 1 has 1 value, row 0 has 2 values"),
+    ('{"z": [[0], [1], [2, 3]]}', "z rows must have equal length: row 2 has 2 values, row 0 has 1 value"),
+    ('{"z": [[0, 1], 5]}', "z rows must have equal length: row 1 is a number, row 0 has 2 values"),
+])
+def test_parse_history_ragged_rows(text, message):
+    # numpy's "setting an array element with a sequence" ValueError before
+    with pytest.raises(SystemFormatError, match=f"^history {re.escape(message)}$"):
+        parse_history(text)
