@@ -142,7 +142,11 @@ class RootAccountingError(SpectrumError):
 
 @dataclass(frozen=True)
 class SpectrumRegion:
-    """Closed axis-aligned rectangle in the complex plane."""
+    """Closed axis-aligned rectangle in the complex plane.
+
+    Each bound is stored as a Python float, -0.0 as 0.0, so every spelling
+    of one window (-1, -1.0, np.float64(-1.0)) is one region and one search.
+    """
 
     re_min: float
     re_max: float
@@ -150,6 +154,9 @@ class SpectrumRegion:
     im_max: float
 
     def __post_init__(self):
+        # adding 0.0 turns -0.0 into 0.0 and rejects a string, which float() parses
+        for k, v in self.as_dict().items():
+            object.__setattr__(self, k, float(v + 0.0))
         bad = [f"{k} = {v}" for k, v in self.as_dict().items() if not math.isfinite(v)]
         if bad:
             raise ValueError(f"region bounds must be finite, got {', '.join(bad)}")
@@ -773,20 +780,19 @@ def find_roots(
     would pass it, and the search would split down to _MIN_LEAF.
 
     The last search that completed is remembered.  A call whose symmetrized
-    region, tol, A_minus1, A0, A1 and kernels are all bit-identical to it
-    (0.0 and -0.0 differ, and so do the bounds 2 and 2.0) returns a new list
-    of its Root objects without evaluating D; B, C, m and p are not read,
-    so a system and its transposed dual share one search.  A search that
-    raises is not remembered and leaves the earlier one in place.
+    region, tol and kernel bounds equal it and whose A_minus1, A0, A1 and
+    kernel matrices are bit-identical to it returns a new list of its Root
+    objects without evaluating D; B, C, m and p are not read, so a system
+    and its transposed dual share one search.  Windows and kernel bounds
+    are stored as floats, so an int bound and its float are one search.  A
+    search that raises is not remembered and leaves the earlier one in place.
     """
     global _last_search
     if not 0 < tol < math.inf:
         raise ValueError(f"root tolerance must be finite and positive, got {tol}")
     region = region.symmetrized()
-    # every input of the search, exactly: the scalars by repr, which is what
-    # _inflate hashes (the bounds 2 and 2.0 give different contours) and tells
-    # -0.0 from 0.0, and the coefficient matrices by their bytes
-    key = (repr((region, tol, [(s.a, s.b) for s in sys.kernels])),
+    # the scalars by value, the coefficient matrices by their bytes
+    key = (region, float(tol), [(s.a, s.b) for s in sys.kernels],
            *(M.tobytes() for M in (sys.A_minus1, sys.A0, sys.A1)),
            *(M.tobytes() for s in sys.kernels for M in (s.A2, s.A3)))
     if _last_search is None or _last_search[0] != key:

@@ -62,7 +62,8 @@ def _check_shape(name, mat, rows, cols):
 class KernelSegment:
     """Constant kernel pair on a subinterval [a, b] of [-1, 0].
 
-    A2 weighs the delayed derivative, A3 the delayed state.
+    A2 weighs the delayed derivative, A3 the delayed state.  The bounds are
+    stored as Python floats, -0.0 as 0.0.
     """
 
     a: float
@@ -71,6 +72,9 @@ class KernelSegment:
     A3: np.ndarray
 
     def __post_init__(self):
+        # as in SpectrumRegion: -0.0 becomes 0.0, and a string is rejected
+        object.__setattr__(self, "a", float(self.a + 0.0))
+        object.__setattr__(self, "b", float(self.b + 0.0))
         object.__setattr__(self, "A2", _freeze(self.A2))
         object.__setattr__(self, "A3", _freeze(self.A3))
         if not (-1.0 <= self.a < self.b <= 0.0):
@@ -176,16 +180,24 @@ def _require_matrix(obj, name, where="file"):
     raw = obj[name]
     if not (isinstance(raw, list) and raw and all(isinstance(r, list) for r in raw)):
         raise SystemFormatError(f"field {name!r} must be a non-empty array of rows")
-    width = len(raw[0])
+    _check_rows(raw, f"field {name!r}")
     for r in raw:
-        if len(r) != width:
-            raise SystemFormatError(f"field {name!r} has ragged rows")
         for x in r:
             if not _is_number(x):
                 raise SystemFormatError(
                     f"field {name!r} contains a non-numeric or non-finite entry {x!r}"
                 )
     return np.array(raw, dtype=float)
+
+
+def _check_rows(rows, what):
+    # numpy names no row of a ragged table
+    width = [len(r) if isinstance(r, list) else None for r in rows]
+    i = next((i for i, w in enumerate(width) if w != width[0]), None)
+    if i is not None:
+        said = [f"row {k} is a number" if width[k] is None
+                else f"row {k} has {width[k]} value" + "s" * (width[k] != 1) for k in (i, 0)]
+        raise SystemFormatError(f"{what} rows must have equal length: {', '.join(said)}")
 
 
 def _load_object(text, fields):
@@ -241,8 +253,8 @@ def parse_system(text: str) -> NeutralSystem:
                 raise SystemFormatError(f"kernels[{i}] needs finite numeric bounds 'a' and 'b'")
         kernels.append(
             KernelSegment(
-                float(raw["a"]),
-                float(raw["b"]),
+                raw["a"],
+                raw["b"],
                 _require_matrix(raw, "A2", where=f"kernels[{i}]"),
                 _require_matrix(raw, "A3", where=f"kernels[{i}]"),
             )
@@ -365,13 +377,6 @@ def _samples(obj, name):
     bad = [x for x in leaves(obj[name]) if not (isinstance(x, float) or _is_number(x))]
     if bad:
         raise SystemFormatError(f"history samples must be numbers: {name} holds {bad[0]!r}")
-    # numpy names no row of a ragged table
-    rows = obj[name]
-    if isinstance(rows, list):
-        width = [len(r) if isinstance(r, list) else None for r in rows]
-        i = next((i for i, w in enumerate(width) if w != width[0]), None)
-        if i is not None:
-            said = [f"row {k} is a number" if width[k] is None
-                    else f"row {k} has {width[k]} value" + "s" * (width[k] != 1) for k in (i, 0)]
-            raise SystemFormatError(f"history {name} rows must have equal length: {', '.join(said)}")
-    return np.asarray(rows, dtype=float)
+    if isinstance(obj[name], list):
+        _check_rows(obj[name], f"history {name}")
+    return np.asarray(obj[name], dtype=float)

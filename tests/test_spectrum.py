@@ -551,13 +551,11 @@ def test_repeated_search_evaluates_no_d(monkeypatch):
 
 
 @pytest.mark.parametrize("change", [
-    "A_minus1", "A0", "A1", "A2", "A3", "a", "b", "kernel b -0.0",
-    "re_min", "re_max", "im_max", "re_max -0.0", "int bounds", "tol",
+    "A_minus1", "A0", "A1", "A2", "A3", "a", "b", "re_min", "re_max", "im_max", "tol",
 ])
 def test_search_changed_by_one_ulp_is_searched_again(change, monkeypatch):
-    # every input of the search is part of the key, bit for bit: one ulp,
-    # -0.0 for 0.0 or an int bound for its float (which _inflate hashes
-    # differently) is a new search, equal to a cold one
+    # every input of the search is part of the key: one ulp of any of them
+    # is a new search, equal to a cold one
     sys, region, tol = _memo_system(), _MEMO_REGION, 1e-9
     if change in ("A_minus1", "A0", "A1"):
         sys = replace(sys, **{change: _ulp(getattr(sys, change))})
@@ -565,16 +563,8 @@ def test_search_changed_by_one_ulp_is_searched_again(change, monkeypatch):
         sys = _with_kernel(sys, **{change: _ulp(getattr(sys.kernels[0], change))})
     elif change in ("a", "b"):
         sys = _with_kernel(sys, **{change: float(np.nextafter(getattr(sys.kernels[0], change), 0.0))})
-    elif change == "kernel b -0.0":
-        seg = sys.kernels[1]
-        assert seg.b == 0.0 and math.copysign(1.0, seg.b) == 1.0
-        sys = replace(sys, kernels=(sys.kernels[0], replace(seg, b=-0.0)))
     elif change in ("re_min", "re_max", "im_max"):
         region = replace(region, **{change: float(np.nextafter(getattr(region, change), math.inf))})
-    elif change == "re_max -0.0":
-        region = replace(region, re_max=-0.0)
-    elif change == "int bounds":
-        region = SpectrumRegion(-2, 0, -4, 4)
     else:
         tol = float(np.nextafter(tol, 1.0))
     find_roots(_memo_system(), _MEMO_REGION)
@@ -583,6 +573,56 @@ def test_search_changed_by_one_ulp_is_searched_again(change, monkeypatch):
     assert points
     spectrum._last_search = None
     assert find_roots(sys, region, tol) == roots
+
+
+@pytest.mark.parametrize("spelling", ["kernel b -0.0", "re_max -0.0", "int bounds",
+                                      "np.float64 bounds"])
+def test_one_window_spelled_another_way_is_one_search(spelling, monkeypatch):
+    # a window and its kernel bounds are stored as floats, -0.0 as 0.0: the
+    # other spelling is a memo hit, bit-identical to a cold search of the
+    # float form, whose contour _inflate hashes from the same floats
+    sys, region = _memo_system(), _MEMO_REGION
+    if spelling == "kernel b -0.0":
+        sys = replace(sys, kernels=(sys.kernels[0], replace(sys.kernels[1], b=-0.0)))
+    elif spelling == "re_max -0.0":
+        region = replace(region, re_max=-0.0)
+    elif spelling == "int bounds":
+        region = SpectrumRegion(-2, 0, -4, 4)
+    else:
+        region = SpectrumRegion(*map(np.float64, (-2, 0, -4, 4)))
+    assert region.as_dict() == _MEMO_REGION.as_dict()
+    assert all(type(v) is float for v in region.as_dict().values())
+    assert math.copysign(1.0, region.re_max) == math.copysign(1.0, sys.kernels[1].b) == 1.0
+    cold = find_roots(_memo_system(), _MEMO_REGION)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    assert _root_bits(find_roots(sys, region)) == _root_bits(cold)
+    assert points == []
+
+
+def _root_bits(roots):
+    return [(r.lam.real.hex(), r.lam.imag.hex(), r.multiplicity, r.residual.hex()) for r in roots]
+
+
+def test_ex5_window_roots_do_not_depend_on_the_type_of_its_bounds(ex5):
+    # int, float and np.float64 bounds used to inflate to three contours,
+    # whose roots differed in their last bits
+    found = []
+    for cast in (int, float, np.float64):
+        spectrum._last_search = None
+        found.append(_root_bits(find_roots(ex5, SpectrumRegion(*map(cast, (-1, 1, -15, 15))))))
+    assert found[0] and found[0] == found[1] == found[2]
+
+
+def test_window_with_no_zeros_is_an_empty_search(monkeypatch):
+    # the outer contour counts 0, so no half is cut; the empty result is
+    # remembered like any other
+    sys, region = scalar_system(a0=-1.0), SpectrumRegion(1.0, 2.0, -1.0, 1.0)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    assert find_roots(sys, region) == []
+    assert points
+    del points[:]
+    assert find_roots(sys, region) == []
+    assert points == []
 
 
 def test_search_of_another_system_in_between_is_forgotten(ex5, monkeypatch):

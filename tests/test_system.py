@@ -12,6 +12,7 @@ from neutralctl import (
     KernelSegment,
     NeutralSystem,
     NoOutputError,
+    SpectrumRegion,
     SystemFormatError,
     apply_feedback,
     parse_system,
@@ -19,7 +20,7 @@ from neutralctl import (
     transpose_dual,
     zero_law,
 )
-from neutralctl.system import parse_history
+from neutralctl.system import parse_feedback, parse_history
 
 
 def test_parse_minimal():
@@ -238,3 +239,90 @@ def test_parse_history_ragged_rows(text, message):
     # numpy's "setting an array element with a sequence" ValueError before
     with pytest.raises(SystemFormatError, match=f"^history {re.escape(message)}$"):
         parse_history(text)
+
+
+def _system_text(**fields):
+    # a valid 2 x 1 system file with fields replaced, or dropped when None
+    obj = {"n": 2, "m": 1, "A_minus1": [[0, 0], [0, 0]], "A0": [[0, 1], [0, 0]],
+           "A1": [[0, 0], [0, 0]], "B": [[0], [1]]}
+    obj.update(fields)
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+@pytest.mark.parametrize("text, message", [
+    (_system_text(A0=[[0, 1], [2]]),
+     "field 'A0' rows must have equal length: row 1 has 1 value, row 0 has 2 values"),
+    (_system_text(B=[[0], [1], [2, 3]]),
+     "field 'B' rows must have equal length: row 2 has 2 values, row 0 has 1 value"),
+    (_system_text(kernels=[{"a": -1, "b": 0, "A2": [[0, 0], [0]], "A3": [[0, 0], [0, 0]]}]),
+     "field 'A2' rows must have equal length: row 1 has 1 value, row 0 has 2 values"),
+], ids=["A0", "B", "kernel A2"])
+def test_parse_system_ragged_rows(text, message):
+    # "has ragged rows" before, naming no row
+    with pytest.raises(SystemFormatError, match=f"^{re.escape(message)}$"):
+        parse_system(text)
+
+
+def test_parse_feedback_ragged_rows():
+    with pytest.raises(SystemFormatError, match="^field 'F0' rows must have equal length: "
+                                                "row 1 has 1 value, row 0 has 2 values$"):
+        parse_feedback('{"F0": [[1, 2], [3]]}', 2, 2)
+
+
+_M = [[0.0]]
+_TYPED_ERRORS = {
+    "n 0": (lambda: NeutralSystem(n=0, m=1, p=0, A_minus1=_M, A0=_M, A1=_M, B=_M),
+            DimensionError, "n must be a positive integer, got 0"),
+    "m float": (lambda: NeutralSystem(n=1, m=1.0, p=0, A_minus1=_M, A0=_M, A1=_M, B=_M),
+                DimensionError, "m must be a positive integer, got 1.0"),
+    "p negative": (lambda: NeutralSystem(n=1, m=1, p=-1, A_minus1=_M, A0=_M, A1=_M, B=_M),
+                   DimensionError, "p must be a nonnegative integer, got -1"),
+    "p without C": (lambda: NeutralSystem(n=1, m=1, p=1, A_minus1=_M, A0=_M, A1=_M, B=_M),
+                    DimensionError, "p > 0 but no output matrix C given"),
+    "C without p": (lambda: NeutralSystem(n=1, m=1, p=0, A_minus1=_M, A0=_M, A1=_M, B=_M, C=_M),
+                    DimensionError, "p = 0 but an output matrix C was given"),
+    "gain shapes": (lambda: FeedbackLaw(np.zeros((1, 2)), np.zeros((2, 1)), np.zeros((1, 2))),
+                    DimensionError, "feedback gain matrices must share one m x n shape"),
+    "int beyond float": (lambda: parse_system(_system_text(A1=[[0, 10**400], [0, 0]])),
+                         SystemFormatError,
+                         f"field 'A1' contains a non-numeric or non-finite entry {10**400!r}"),
+    "no rows": (lambda: parse_system(_system_text(A0=[])),
+                SystemFormatError, "field 'A0' must be a non-empty array of rows"),
+    "flat rows": (lambda: parse_system(_system_text(A0=[0, 1])),
+                  SystemFormatError, "field 'A0' must be a non-empty array of rows"),
+    "top-level array": (lambda: parse_system("[1, 2]"),
+                        SystemFormatError, "top-level value must be an object"),
+    "missing n": (lambda: parse_system(_system_text(n=None)),
+                  SystemFormatError, "missing required field 'n'"),
+    "float n": (lambda: parse_system(_system_text(n=2.0)),
+                SystemFormatError, "field 'n' must be an integer"),
+    "string p": (lambda: parse_system(_system_text(p="1")),
+                 SystemFormatError, "field 'p' must be an integer"),
+    "C with p 0": (lambda: parse_system(_system_text(C=[[1, 0]])),
+                   SystemFormatError, "field 'C' given but p is 0 or absent"),
+    "kernel array": (lambda: parse_system(_system_text(kernels=[[-1, 0]])),
+                     SystemFormatError, "kernels[0] must be an object"),
+    "kernel field": (lambda: parse_system(_system_text(kernels=[{"a": -1, "b": 0, "c": 1}])),
+                     SystemFormatError, "kernels[0] has unknown fields: ['c']"),
+    "history without z": (lambda: parse_history('{"dz": [[0], [0]]}'),
+                          SystemFormatError, "history file must be an object with a 'z' array"),
+    "region flat": (lambda: SpectrumRegion(1, 1, -1, 1),
+                    ValueError, "degenerate region [1.0, 1.0] x [-1.0, 1.0]"),
+    "region upside down": (lambda: SpectrumRegion(0, 1, 2, -2),
+                           ValueError, "degenerate region [0.0, 1.0] x [2.0, -2.0]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TYPED_ERRORS))
+def test_typed_errors(case):
+    make, error, message = _TYPED_ERRORS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_string_bounds_are_rejected():
+    # a bound is a number: float() alone would parse "-1"
+    with pytest.raises(TypeError):
+        SpectrumRegion("-1", 1, -1, 1)
+    with pytest.raises(TypeError):
+        KernelSegment("-1", 0, np.zeros((1, 1)), np.zeros((1, 1)))
