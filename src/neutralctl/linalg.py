@@ -50,8 +50,8 @@ class PlacementError(RuntimeError):
     def __init__(self, radius, norm_F, max_eig):
         self.radius, self.norm_F, self.max_eig = float(radius), float(norm_F), float(max_eig)
         super().__init__(
-            f"no gain puts every computed eigenvalue of A + B F inside radius {self.radius:.6g}; "
-            f"last candidate: ||F|| = {self.norm_F:.6g}, largest |eig| = {self.max_eig:.6g}"
+            f"the placed gain leaves a computed eigenvalue of A + B F on or outside radius "
+            f"{self.radius:.6g}: ||F|| = {self.norm_F:.6g}, largest |eig| = {self.max_eig:.6g}"
         )
 
 
@@ -82,8 +82,7 @@ def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> RankReport:
     if M.size == 0:
         raise ValueError("numerical_rank needs a nonempty matrix")
     s = np.linalg.svd(M, compute_uv=False)
-    sigma_max = s[0] if s.size else 0.0
-    cutoff = tol * sigma_max * max(M.shape) if sigma_max > RANK_FLOOR else RANK_FLOOR
+    cutoff = tol * s[0] * max(M.shape) if s[0] > RANK_FLOOR else RANK_FLOOR
     rank = int(np.count_nonzero(s > cutoff))
     return RankReport(rank=rank, singular_values=s, tolerance_used=cutoff)
 
@@ -248,8 +247,8 @@ def pole_place_nonzero(A, B, radius: float, targets=None, tol: float = DEFAULT_R
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     st = controllable_staircase(A, B, tol)
     r = st.n_controllable
     mu = max((mu for mu, _ in st.uncontrollable_modes()), key=abs, default=0.0)

@@ -7,14 +7,14 @@ The eigenvalues are the zeros of det D(lambda) where
                                      + phi(lambda; a, b) A3],
 
 with phi(lambda; a, b) = (e^{lambda b} - e^{lambda a}) / lambda, summed as
-its 6-term power series where |lambda| < _SERIES_CUT.  D and D' are written
-term by term in one function, each term with its weight in D and in D', and a
-segment's two exponentials serve both of its weights.  Zeros are counted on
-rectangle boundaries by the argument principle and located by adaptive
-subdivision: each search rectangle reads its distinct zeros and their
-multiplicities off its own contour moments (a Hankel pencil and a Vandermonde
-solve), polishes them together by multiplicity-aware Newton iteration on the
-determinant, one batch per iteration, and is split when that fails.  Only
+its 6-term power series where |lambda| < _SERIES_CUT; D, D' and the root
+residual read one list of D's terms w M.  Zeros are counted on rectangle
+boundaries by the argument principle and located by adaptive subdivision:
+each search rectangle reads its distinct zeros and their multiplicities off
+its contour moments (a Hankel pencil and a Vandermonde solve), polishes them
+together by multiplicity-aware Newton iteration, one batch per iteration,
+keeps them if each residual sigma_min(D) / (|lambda| + sum |w| ||M||_F), the
+normwise backward error, is at most tol, and is split otherwise.  Only
 the outer contour of a search is hash-perturbed, and it is integrated once;
 each sub-rectangle reuses its parent's edge panels and adds one cut line,
 which gets the same edge-local vanishing-determinant check as every edge.  A
@@ -192,8 +192,8 @@ class SpectrumRegion:
 class Root:
     """Located zero of det D with its contour-moment multiplicity.
 
-    find_roots reports a root below the real axis as the exact conjugate of
-    one above it, with that root's residual and newton_iterations.
+    residual is lam's normwise backward error (see find_roots).  A root below
+    the real axis mirrors one above, with its residual and newton_iterations.
     """
 
     lam: complex
@@ -237,21 +237,29 @@ def _phi_many(lam, a, b, ea, eb, deriv):
     return out
 
 
+def _terms(sys, lam, deriv):
+    # (w, M) for each term of D = lambda I - sum of w M, or (w', M) for those
+    # of D' = I - sum of w' M; lam has shape (K, 1, 1), under np.errstate
+    E = np.exp(-lam)
+    if deriv:  # A0 has no term in D'
+        yield (1.0 - lam) * E, sys.A_minus1
+        yield -E, sys.A1
+    else:
+        yield lam * E, sys.A_minus1
+        yield 1.0, sys.A0
+        yield E, sys.A1
+    for seg in sys.kernels:
+        ea, eb = np.exp(lam * seg.a), np.exp(lam * seg.b)
+        yield (seg.b * eb - seg.a * ea if deriv else eb - ea), seg.A2
+        yield _phi_many(lam, seg.a, seg.b, ea, eb, deriv), seg.A3
+
+
 def _delta_many(sys, lam, deriv):
-    # D = lambda I - sum of w M, or D' = I - sum of w' M when deriv: one line
-    # per term, with w' if deriv else w
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        E = np.exp(-lam)
         T = np.eye(sys.n) if deriv else lam * np.eye(sys.n)
-        T = T - ((1.0 - lam) * E if deriv else lam * E) * sys.A_minus1
-        if not deriv:  # A0 drops out of D'
-            T = T - sys.A0
-        T = T - (-E if deriv else E) * sys.A1
-        for seg in sys.kernels:
-            ea, eb = np.exp(lam * seg.a), np.exp(lam * seg.b)
-            T = T - (seg.b * eb - seg.a * ea if deriv else eb - ea) * seg.A2
-            T = T - _phi_many(lam, seg.a, seg.b, ea, eb, deriv) * seg.A3
+        for w, M in _terms(sys, lam, deriv):
+            T = T - w * M
     return T
 
 
@@ -578,19 +586,15 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
 
 
 def _residuals(sys, lams):
-    # per point, |det| there over the largest |det| on four probe points at a
-    # local scale: every point and probe in one delta_many call
-    pts = []
-    for lam in lams:
-        r = 1e-2 * (1.0 + abs(lam))
-        pts += [[lam], lam + r * np.array([1.0, 1.0j, -1.0, -1.0j])]
-    det = np.linalg.det(delta_many(sys, np.concatenate(pts)))
-    out = []
-    for i in range(0, len(det), 5):
-        # a scalar's abs, which can differ in the last bit from np.abs of an array
-        here, scale = abs(det[i]), float(np.max(np.abs(det[i + 1 : i + 5])))
-        out.append(float(here / scale) if scale else 0.0)
-    return out
+    # per point, as find_roots defines it; a zero M is left out, as inf * 0 is NaN
+    lam = np.asarray(lams, dtype=complex)[:, None, None]
+    sig = np.linalg.svd(delta_many(sys, lam.ravel()), compute_uv=False)[:, -1:, None]
+    scale = np.abs(lam)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for w, M in _terms(sys, lam, False):
+            if norm := np.linalg.norm(M):
+                scale = scale + np.abs(w) * norm
+    return np.divide(sig, scale, out=np.zeros_like(sig), where=scale > 0).ravel().tolist()
 
 
 def _newton(sys, starts, mults):
@@ -661,7 +665,7 @@ def _node_roots(sys, rect, count, sides, tol):
     residuals = _residuals(sys, [lam for lam, _ in polished])
     roots = []
     for i, ((lam, iterations), mult, res) in enumerate(zip(polished, mults, residuals)):
-        if not res <= tol:  # NaN when the probes overflow
+        if res > tol:
             return None
         if rect.contains(lam.conjugate()) and np.argmin(np.abs(est - lam.conjugate())) == i:
             lam = complex(lam.real, 0.0)
@@ -758,7 +762,7 @@ def find_roots(
     region: SpectrumRegion,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> list[Root]:
-    """All zeros of det D in the region, refined to residual <= tol.
+    """All zeros of det D in the region, each with residual <= tol.
 
     The region is symmetrized about the real axis, whose mirror image maps
     the zeros onto themselves: the outer contour is integrated on its lower
@@ -766,18 +770,16 @@ def find_roots(
     times top / 2 when top < 2) splits it, and only the upper child
     [re_min, re_max] x [-delta, top] is searched: each search rectangle
     reads its roots off its contour moments and polishes all of them
-    together by Newton, or is split.  A split integrates its cut line and
-    the straddled panels of the two sides it slices in one panel loop, in
-    chunks of at most 120 points.  A root whose
-    conjugate lies in its rectangle, nearer its own moment estimate than any
-    other, is put on the axis and reported once, a root above it with its
-    exact conjugate (same residual and newton_iterations), and a root below
-    it, the conjugate of one above, is dropped.  RootAccountingError is
-    raised unless the upper child's roots add up to its count and the
-    reported roots to the whole region's.  The result is sorted by (Re
-    rounded to 9 decimals, Im) and closed under conjugation bit for bit.
-    A tol that is not finite and positive raises ValueError: no residual
-    would pass it, and the search would split down to _MIN_LEAF.
+    together by Newton, or is split.  A root whose conjugate lies in its
+    rectangle, nearer its own moment estimate than any other, is put on the
+    axis and reported once, a root above it with its exact conjugate (same
+    residual and newton_iterations), and a root below it, the conjugate of
+    one above, is dropped.  RootAccountingError is raised unless the upper
+    child's roots add up to its count and the reported roots to the whole
+    region's.  The result is sorted by (Re rounded to 9 decimals, Im) and
+    closed under conjugation bit for bit.  tol (finite and positive, else
+    ValueError) bounds each root's residual sigma_min(D(lam)) / (|lam| + sum
+    |w(lam)| ||M||_F) over D = lam I - sum w M, its normwise backward error.
 
     The last search that completed is remembered.  A call whose symmetrized
     region, tol and kernel bounds equal it and whose A_minus1, A0, A1 and

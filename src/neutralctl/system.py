@@ -174,19 +174,18 @@ def _is_number(x):
         return False
 
 
-def _require_matrix(obj, name, where="file"):
+def _require_matrix(obj, name, where=None):
+    what = f"field {name!r}" if where is None else f"field {name!r} of {where}"
     if name not in obj:
-        raise SystemFormatError(f"missing required field {name!r} in {where}")
+        raise SystemFormatError(f"missing required {what}")
     raw = obj[name]
     if not (isinstance(raw, list) and raw and all(isinstance(r, list) for r in raw)):
-        raise SystemFormatError(f"field {name!r} must be a non-empty array of rows")
-    _check_rows(raw, f"field {name!r}")
+        raise SystemFormatError(f"{what} must be a non-empty array of rows")
+    _check_rows(raw, what)
     for r in raw:
         for x in r:
             if not _is_number(x):
-                raise SystemFormatError(
-                    f"field {name!r} contains a non-numeric or non-finite entry {x!r}"
-                )
+                raise SystemFormatError(f"{what} contains a non-numeric or non-finite entry {x!r}")
     return np.array(raw, dtype=float)
 
 

@@ -202,6 +202,7 @@ def test_condition1_example3(ex3):
 
 def test_condition1_example5(ex5):
     assert check_condition1(ex5, SpectrumRegion(-1, 1, -40, 40)).passed
+    assert check_condition1(ex5).passed  # on default_region
 
 
 def test_condition1_witness_for_bad_input(ex5):

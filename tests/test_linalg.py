@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -38,6 +39,8 @@ def test_rank_zero_matrix():
     rep = numerical_rank(np.array([[1e-17, 0.0]]))
     assert rep.rank == 0
     assert rep.tolerance_used == RANK_FLOOR
+    with pytest.raises(ValueError, match="^numerical_rank needs a nonempty matrix$"):
+        numerical_rank(np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
@@ -71,6 +74,8 @@ def test_rank_orthogonal_invariance():
 def test_kalman_nilpotent():
     K = kalman_matrix(np.zeros((2, 2)), np.array([[1.0], [0.0]]))
     assert np.array_equal(K, [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^incompatible shapes \(2, 2\) and \(3, 1\)$"):
+        kalman_matrix(np.zeros((2, 2)), np.ones((3, 1)))
 
 
 def test_kalman_example5_pair():
@@ -265,7 +270,7 @@ def test_pole_place_clustered_spectrum_against_mpmath(n):
         F = pole_place_nonzero(A, B, radius)
         assert _mp_spectral_radius(A + B @ F) < radius  # 0.051 at n = 6
     else:
-        with pytest.raises(PlacementError, match=r"radius 0\.135335; last candidate: "
+        with pytest.raises(PlacementError, match=r"radius 0\.135335: "
                            r"\|\|F\|\| = \S+, largest \|eig\| = \S+$") as err:
             pole_place_nonzero(A, B, radius)
         assert err.value.max_eig >= radius
@@ -387,3 +392,16 @@ def test_pole_place_with_a_dependent_input_column(k1, k2, t, seed):
 def test_pole_place_rejects_nan_target():
     with pytest.raises(ValueError, match="inside the disk"):
         pole_place_nonzero(np.eye(1), np.eye(1), 0.5, targets=[float("nan")])
+
+
+@pytest.mark.parametrize("radius, targets, message", [
+    (math.nan, [5.0, 7.0], "radius must be finite and positive, got nan"),
+    (math.inf, [5.0, 7.0], "radius must be finite and positive, got inf"),
+    (0.0, [5.0, 7.0], "radius must be finite and positive, got 0.0"),
+    (-1.0, [5.0, 7.0], "radius must be finite and positive, got -1.0"),
+    (0.5, [0.1], "need exactly 2 placement targets, got 1"),
+])
+def test_pole_place_rejects_bad_radius_or_target_count(radius, targets, message):
+    # NaN said the targets must lie inside the disk, and inf placed 5 and 7
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pole_place_nonzero(np.diag([1.0, 2.0]), np.eye(2), radius, targets=targets)

@@ -267,6 +267,8 @@ def test_step_validation(ex5):
         simulate(ex5, hist, horizon=1.0, step=0.3)
     with pytest.raises(StepNotUnitDivisor):
         simulate(ex5, History.constant([1.0, 0.0], 5), horizon=1.0, step=0.2)
+    with pytest.raises(ValueError, match=r"^horizon 1\.05 is not a multiple of the step 0\.1$"):
+        simulate(ex5, History.constant([1.0, 0.0], 10), horizon=1.05, step=0.1)
 
 
 def test_history_grid_mismatch(ex5):
@@ -274,6 +276,8 @@ def test_history_grid_mismatch(ex5):
         simulate(ex5, History.constant([1.0, 0.0], 50), horizon=1.0, step=0.01)
     with pytest.raises(HistoryGridMismatch):
         simulate(ex5, History.constant([1.0], 100), horizon=1.0, step=0.01)
+    with pytest.raises(HistoryGridMismatch, match=r"must have shape \(11, n\), got \(10, 2\)"):
+        History(q=10, z=np.zeros((10, 2)), dz=np.zeros((10, 2)))
 
 
 def test_degenerate_window(ex5):
@@ -282,6 +286,8 @@ def test_degenerate_window(ex5):
         estimate_decay(traj, (0.0, 3.0))  # trajectory is identically zero
     with pytest.raises(DegenerateWindow):
         estimate_decay(traj, (0.0, 1.0))  # window shorter than 2
+    with pytest.raises(DegenerateWindow, match="fewer than 3 samples"):
+        estimate_decay(traj, (2.99, 5.0))  # one sample, at t = 3
 
 
 def test_history_finite_difference_consistency():
@@ -395,6 +401,11 @@ def test_callable_control_called_once_per_node_and_half_step(ex5):
     simulate(ex5, History.constant([1.0, 0.0], 50), control=control, horizon=4.0, step=0.02)
     # 200 steps over 4 intervals: each interval's nodes and half-steps
     assert len(calls) <= 2 * 200 + 4
+    # a constant vector is the constant callable
+    hist = History.constant([1.0, 0.0], 50)
+    const, func = (simulate(ex5, hist, control=c, horizon=2.0, step=0.02)
+                   for c in ([0.5], lambda t: np.array([0.5])))
+    assert np.array_equal(const.z, func.z) and np.array_equal(const.dz, func.dz)
 
 
 def test_callable_control_shape_is_checked(ex5):

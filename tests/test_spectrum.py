@@ -885,23 +885,46 @@ def _rotated_jordan_at(mu, order, seed):
     return Q @ (mu * np.eye(order) + np.eye(order, k=1)) @ Q.T
 
 
-@pytest.mark.parametrize("mu, order, A0", [
-    (0.0, 9, np.eye(9, k=1)),
-    (-0.3, 5, _rotated_jordan_at(-0.3, 5, seed=5)),
-], ids=["jordan9_at_0", "rotated_jordan5"])
-def test_find_roots_single_zero_of_high_multiplicity(mu, order, A0):
-    # det D = det(lambda I - A0) with A0 a Jordan block: one zero of
-    # multiplicity 9 or 5, more than a node resolves as distinct zeros.  The
-    # float coefficients of the rotated block spread its eigenvalues over a
-    # circle of radius 4.5e-4 (60-digit mpmath): one root at their mean.
-    Z = np.zeros((order, order))
-    sys = NeutralSystem(n=order, m=1, p=0, A_minus1=Z, A0=A0, A1=Z, B=np.ones((order, 1)))
-    (root,) = find_roots(sys, SpectrumRegion(-2, 2, -3, 3))
-    assert root.multiplicity == order and root.lam.imag == 0.0
-    with mpmath.workdps(60):
-        eigs = [complex(e) for e in mpmath.eig(mpmath.matrix(A0.tolist()), left=False, right=False)]
-    assert abs(root.lam - np.mean(eigs)) <= 1e-12
-    assert abs(root.lam - mu) <= 1e-12 and max(abs(e - mu) for e in eigs) <= 1e-3
+def _jordan_case(A0):
+    # a Jordan block's one zero is the mean of its exact eigenvalues, though
+    # the float coefficients of a rotated block spread its computed
+    # eigenvalues over a circle of radius up to about 1e-3 (4.5e-4 for
+    # rotated_jordan5, at 60 digits)
+    return np.zeros_like(A0), A0, [np.trace(A0) / len(A0)]
+
+
+def _semisimple_case():
+    # det D = f^2 for A_minus1 = diag(0.5, 0.5) and A0 = diag(0.3, 0.3)
+    f = lambda lam: lam * (1 - 0.5 * mpmath.exp(-lam)) - 0.3
+    with mpmath.workdps(30):
+        zeros = [float(mpmath.findroot(f, x)) for x in (-1.0, 0.4)]
+    return 0.5 * np.eye(2), 0.3 * np.eye(2), zeros
+
+
+# (A_minus1, A0, the zeros in [-2, 2] x [-3, 3], each of multiplicity n)
+_HIGH_MULTIPLICITY = {
+    "jordan9_at_0": _jordan_case(np.eye(9, k=1)),
+    "rotated_jordan5": _jordan_case(_rotated_jordan_at(-0.3, 5, seed=5)),
+    **{f"rotated_jordan{order}_at_{mu}_seed{seed}":
+       _jordan_case(_rotated_jordan_at(mu, order, seed))
+       for order in (4, 5, 6) for mu in (-0.3, 0.7) for seed in range(20)
+       if (order, mu, seed) != (5, -0.3, 5)},
+    "semisimple2": _semisimple_case(),
+}
+
+
+@pytest.mark.parametrize("case", list(_HIGH_MULTIPLICITY))
+def test_find_roots_single_zero_of_high_multiplicity(case):
+    # more zeros at one point than a node resolves as distinct zeros: each
+    # point must be found as one root of full multiplicity
+    A_minus1, A0, zeros = _HIGH_MULTIPLICITY[case]
+    n = len(A0)
+    sys = NeutralSystem(n=n, m=1, p=0, A_minus1=A_minus1, A0=A0, A1=np.zeros((n, n)),
+                        B=np.ones((n, 1)))
+    roots = find_roots(sys, SpectrumRegion(-2, 2, -3, 3))
+    assert [(r.multiplicity, r.lam.imag) for r in roots] == [(n, 0.0)] * len(zeros)
+    for root, zero in zip(roots, zeros):
+        assert abs(root.lam - zero) <= 1e-12
 
 
 def _random_real_system(rng, n, kernels):
@@ -1047,7 +1070,7 @@ def test_spectral_abscissa_rejects_narrow_region(ex5):
 
 
 def test_spectral_right_bound_holds(ex3, ex5):
-    for sys in (ex3, ex5, scalar_system(a0=2.0)):
+    for sys in (ex3, ex5, scalar_system(a0=2.0), kernel_system()):
         bound = spectral_right_bound(sys)
         region = SpectrumRegion(-3, bound + 1.0, -14, 14)
         val, qual = spectral_abscissa(sys, region)

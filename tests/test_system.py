@@ -255,7 +255,8 @@ def _system_text(**fields):
     (_system_text(B=[[0], [1], [2, 3]]),
      "field 'B' rows must have equal length: row 2 has 2 values, row 0 has 1 value"),
     (_system_text(kernels=[{"a": -1, "b": 0, "A2": [[0, 0], [0]], "A3": [[0, 0], [0, 0]]}]),
-     "field 'A2' rows must have equal length: row 1 has 1 value, row 0 has 2 values"),
+     "field 'A2' of kernels[0] rows must have equal length: "
+     "row 1 has 1 value, row 0 has 2 values"),
 ], ids=["A0", "B", "kernel A2"])
 def test_parse_system_ragged_rows(text, message):
     # "has ragged rows" before, naming no row
@@ -286,6 +287,10 @@ _TYPED_ERRORS = {
     "int beyond float": (lambda: parse_system(_system_text(A1=[[0, 10**400], [0, 0]])),
                          SystemFormatError,
                          f"field 'A1' contains a non-numeric or non-finite entry {10**400!r}"),
+    "kernel string": (lambda: parse_system(_system_text(kernels=[
+                          {"a": -1, "b": 0, "A2": [[0, 0], [0, 0]], "A3": [[0, "1"], [0, 0]]}])),
+                      SystemFormatError,
+                      "field 'A3' of kernels[0] contains a non-numeric or non-finite entry '1'"),
     "no rows": (lambda: parse_system(_system_text(A0=[])),
                 SystemFormatError, "field 'A0' must be a non-empty array of rows"),
     "flat rows": (lambda: parse_system(_system_text(A0=[0, 1])),
