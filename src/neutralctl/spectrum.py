@@ -311,7 +311,7 @@ def det_logderiv(sys: NeutralSystem, lam: complex):
     """
     det, logd, singular = _det_logderiv_many(sys, [lam])
     if singular[0]:
-        raise SingularAtEvaluationPoint("Singular matrix")
+        raise SingularAtEvaluationPoint(f"det D is singular at lambda = {complex(lam)}")
     return complex(det[0]), complex(logd[0])
 
 
@@ -753,7 +753,9 @@ def _check_sum(roots, count, what):
         raise RootAccountingError(f"refined multiplicities sum to {got}, {what} count is {count}")
 
 
-# (key, roots) of the last find_roots search that completed
+# (key, roots, error) of the last find_roots search: its roots, or the type
+# and args of the SpectrumError it raised, never the exception itself, whose
+# traceback holds the failed search's frames
 _last_search = None
 
 
@@ -781,13 +783,16 @@ def find_roots(
     ValueError) bounds each root's residual sigma_min(D(lam)) / (|lam| + sum
     |w(lam)| ||M||_F) over D = lam I - sum w M, its normwise backward error.
 
-    The last search that completed is remembered.  A call whose symmetrized
-    region, tol and kernel bounds equal it and whose A_minus1, A0, A1 and
-    kernel matrices are bit-identical to it returns a new list of its Root
-    objects without evaluating D; B, C, m and p are not read, so a system
-    and its transposed dual share one search.  Windows and kernel bounds
-    are stored as floats, so an int bound and its float are one search.  A
-    search that raises is not remembered and leaves the earlier one in place.
+    The last search is remembered: its roots, or the SpectrumError it
+    raised.  A call whose symmetrized region, tol and kernel bounds equal it
+    and whose A_minus1, A0, A1 and kernel matrices are bit-identical to it
+    evaluates no D: it returns a new list of the remembered Root objects, or
+    raises a new exception of the remembered type with the same message.
+    B, C, m and p are not read, so a system and its transposed dual share
+    one search.  Windows and kernel bounds are stored as floats, so an int
+    bound and its float are one search.  There is one entry, so a failed
+    search replaces the earlier one; an error other than a SpectrumError,
+    such as MemoryError, is not remembered and leaves it in place.
     """
     global _last_search
     if not 0 < tol < math.inf:
@@ -798,8 +803,15 @@ def find_roots(
            *(M.tobytes() for M in (sys.A_minus1, sys.A0, sys.A1)),
            *(M.tobytes() for s in sys.kernels for M in (s.A2, s.A3)))
     if _last_search is None or _last_search[0] != key:
-        _last_search = key, tuple(_search(sys, region, tol))
-    return list(_last_search[1])
+        try:
+            _last_search = key, tuple(_search(sys, region, tol)), None
+        except SpectrumError as e:
+            _last_search = key, None, (type(e), e.args)
+            raise
+    _, roots, error = _last_search
+    if error:
+        raise error[0](*error[1])
+    return list(roots)
 
 
 def _search(sys, region, tol):

@@ -58,6 +58,31 @@ def test_check_stabilizability_example5(ex5_file, tmp_path):
     assert payload["tolerances"]["rank"] == 1e-9
 
 
+def test_failed_search_runs_once_for_spectrum_and_check(tmp_path, capsys, monkeypatch):
+    # e^{-lambda} overflows on the far-left window, so its search raises;
+    # check-stabilizability in the same process raises the remembered error
+    path = tmp_path / "far_left.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "p": 0, "A_minus1": [[0.5]], "A0": [[0]],
+                                "A1": [[0]], "B": [[1]]}))
+    calls = []
+    inner = spectrum._search
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(spectrum, "_search", counted)
+    errors = []
+    for command in ("spectrum", "check-stabilizability"):
+        code = run(command, "--system", str(path), "--re-min=-800", "--re-max=-700",
+                   "--im-max", "5", "--out", str(tmp_path / "out"))
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ContourThroughZero: ")
+    assert errors[1] == errors[0]
+    assert len(calls) == 1
+
+
 def test_check_controllability_example3(ex3_file, tmp_path):
     out = tmp_path / "out"
     code = run("check-controllability", "--system", str(ex3_file), "--out", str(out))

@@ -1,4 +1,5 @@
 import math
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from neutralctl import (
     NeutralSystem,
     QuadratureNotConverged,
     SingularAtEvaluationPoint,
+    SpectrumError,
     SpectrumRegion,
     count_zeros,
     default_region,
@@ -225,7 +227,7 @@ def test_det_logderiv_example_determinants(ex3, ex5):
 
 
 def test_det_logderiv_singular(ex3):
-    with pytest.raises(SingularAtEvaluationPoint):
+    with pytest.raises(SingularAtEvaluationPoint, match=r"^det D is singular at lambda = 0j$"):
         det_logderiv(ex3, 0.0)
 
 
@@ -658,21 +660,82 @@ def test_search_ignores_inputs_and_outputs(monkeypatch):
     assert points == []
 
 
+_FAR_LEFT = SpectrumRegion(-800, -700, -5, 5)
+
+
 def test_raised_search_is_not_remembered(ex5, monkeypatch):
-    # the far-left window of test_failing_outer_contour_is_integrated_once
-    # raises each time, evaluating D each time, and leaves the search before
-    # it remembered
+    # what the memo keeps of a search that raised (the name is older than
+    # that): the far-left window of test_failing_outer_contour_is_integrated_once
+    # evaluates D and raises, a repeat raises the same type and message
+    # without evaluating D, and the failure has replaced the ex5 search
     good = find_roots(ex5, _EX5_REGION)
     points = count_points(monkeypatch, "_det_logderiv_many")
-    sys, region = scalar_system(a_minus1=0.5), SpectrumRegion(-800, -700, -5, 5)
-    for _ in range(2):
-        del points[:]
-        with pytest.raises(ContourThroughZero, match=r"on edge \(-800\."):
-            find_roots(sys, region)
-        assert points
+    sys = scalar_system(a_minus1=0.5)
+    with pytest.raises(ContourThroughZero, match=r"on edge \(-800\.") as first:
+        find_roots(sys, _FAR_LEFT)
+    assert points
     del points[:]
-    assert find_roots(ex5, _EX5_REGION) == good
+    with pytest.raises(ContourThroughZero) as again:
+        find_roots(sys, _FAR_LEFT)
+    assert str(again.value) == str(first.value)
     assert points == []
+    assert find_roots(ex5, _EX5_REGION) == good
+    assert points
+
+
+def _raise_far_left(sys):
+    with pytest.raises(SpectrumError) as info:
+        find_roots(sys, _FAR_LEFT)
+    return info.value
+
+
+def test_remembered_failure_raises_a_fresh_exception(monkeypatch):
+    # each hit is a new exception, not the first one raised again, so its
+    # traceback does not grow from hit to hit
+    sys = scalar_system(a_minus1=0.5)
+    first = _raise_far_left(sys)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    second, third = _raise_far_left(sys), _raise_far_left(sys)
+    assert points == []
+    assert len({id(first), id(second), id(third)}) == 3
+    assert type(first) is type(second) is type(third) is ContourThroughZero
+    assert str(first) == str(second) == str(third)
+    assert len(traceback.extract_tb(second.__traceback__)) == len(
+        traceback.extract_tb(third.__traceback__))
+
+
+@pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+def test_error_that_is_not_a_spectrum_error_is_not_remembered(error, monkeypatch):
+    # a MemoryError says nothing about the inputs: the next call searches,
+    # and the SpectrumError it raises is remembered
+    calls = []
+
+    def search(sys, region, tol):
+        calls.append(region)
+        if len(calls) == 1:
+            raise error
+        raise ContourThroughZero("planted")
+
+    monkeypatch.setattr(spectrum, "_search", search)
+    sys = scalar_system(a_minus1=0.5)
+    with pytest.raises(error):
+        find_roots(sys, _FAR_LEFT)
+    for _ in range(2):
+        with pytest.raises(ContourThroughZero, match="^planted$"):
+            find_roots(sys, _FAR_LEFT)
+    assert len(calls) == 2
+
+
+def test_failure_changed_by_one_ulp_is_searched_again(monkeypatch):
+    # A0 is part of the key of a failed search as of any other
+    sys = scalar_system(a_minus1=0.5)
+    first = _raise_far_left(sys)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    _raise_far_left(sys)
+    assert points == []
+    moved = _raise_far_left(replace(sys, A0=_ulp(sys.A0)))
+    assert points
+    assert type(moved) is type(first)
 
 
 def test_editing_a_returned_list_does_not_change_the_next(ex5):
