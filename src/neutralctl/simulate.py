@@ -385,5 +385,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     # row strings of the whole table alive at once
     for k in range(0, table.shape[0], 256):
         blocks.append("\n".join(",".join(map(repr, row)) for row in table[k : k + 256].tolist()))
+    del table  # freed before the join, which holds the blocks and the text at once
     blocks.append("")
     return "\n".join(blocks)

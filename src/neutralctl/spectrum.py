@@ -20,14 +20,16 @@ each sub-rectangle reuses its parent's edge panels and adds one cut line,
 which gets the same edge-local vanishing-determinant check as every edge.  A
 contour step (the outer contour's edges, or a cut line with the straddled
 panels of the sides it slices) is one panel loop over all of its edges,
-whose rounds are evaluated in chunks of at most _CHUNK = 120 points.  A
-panel settles at 21 points when its Gauss-Kronrod G10 and K21 counts agree
-(its 10 Gauss nodes in one round, its 11 Kronrod nodes in the next), and
-is halved otherwise, each half taking all 21 nodes in one round.  Every
-coefficient is real, so det D(conj lambda) = conj det D(lambda): a contour
-symmetric about the real axis is integrated on its lower half and mirrored,
-and find_roots searches only above a cut just below the real axis and
-reflects what it finds there.  Each nonzero eigenvalue mu of A_minus1
+whose rounds are evaluated in chunks of at most _CHUNK = 120 points.
+Each edge starts from max(4, ceil(length / 2)) panels.  A panel settles at
+21 points when its Gauss-Kronrod G10 and K21 moments against xi^q agree
+for every q < _P (its 10 Gauss nodes in one round, its 11 Kronrod nodes in
+the next), and is halved otherwise, each half taking all 21 nodes in one
+round.  Every coefficient is real, so det D(conj lambda) = conj
+det D(lambda): a contour symmetric about the real axis is integrated on its
+lower half and mirrored, and find_roots searches only above a cut just
+below the real axis and reflects what it finds there.  Each nonzero
+eigenvalue mu of A_minus1
 generates a vertical chain of eigenvalues approaching
 ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
 """
@@ -106,8 +108,9 @@ _G_WEIGHTS = np.array([
     0.29552422471475287, 0.29552422471475287, 0.26926671930999635, 0.21908636251598204,
     0.1494513491505806, 0.06667134430868814])
 # K21 weights times xi^q, q < _P: a panel's node values times this table are
-# its moments against xi^q
+# its moments against xi^q; the G10 table gives them from its 10 Gauss values
 _GK_MOMENTS = _GK_WEIGHTS[:, None] * _GK_NODES[:, None] ** np.arange(_P)
+_G_MOMENTS = _G_WEIGHTS[:, None] * _GK_NODES[:10, None] ** np.arange(_P)
 # reversing a panel maps xi to -xi, and mirroring it conjugates dz
 _MIRROR = -((-1.0) ** np.arange(_P))
 
@@ -331,8 +334,20 @@ def _edge_error(kind, z0, z1, what, min_det, med):
     return kind(f"{what} on edge {z0} -> {z1} (min |det| {min_det:.3g}, median {med:.3g})")
 
 
-# Edge integrals aim below this absolute error so that the total winding
-# estimate is reliably within 0.25 of the true integer.
+# A panel settles when its G10 and K21 moments against xi^q, every q < _P,
+# differ by at most _SETTLE times its share of the side: the G10/K21 error
+# estimate of each side's count, and of each higher moment, is then at most
+# _SETTLE.  Edges and cut lines start from _PANELS_PER_UNIT panels per unit
+# of length, at least 4.  Both were chosen together from a sweep of (grid,
+# tolerance) pairs recorded in CHANGES.md: the pair with the fewest D
+# batches among those tighter than the count budget that keep the mirrored
+# and direct outer-contour moments within 1e-10 and the benchmark's roots
+# within 1e-13.
+_SETTLE = 1e-3
+_PANELS_PER_UNIT = 0.5
+# A panel of _MIN_SEG is kept as it is, and its edge fails when its G10 and
+# K21 counts differ by more than _EDGE_BUDGET, a quarter of the 0.47 that
+# keeps the winding estimate within 0.25 of the true integer.
 _EDGE_BUDGET = 0.47 / 4.0
 _MIN_SEG = 1e-12
 _MAX_SEGS = 4000
@@ -351,7 +366,7 @@ class _Edge:
 
     def __init__(self, z0, z1, segs=None):
         if segs is None:
-            n0 = max(4, math.ceil(abs(z1 - z0) * 1.25))
+            n0 = max(4, math.ceil(abs(z1 - z0) * _PANELS_PER_UNIT))
             segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
         self.z0, self.z1 = z0, z1
         self.pending = np.asarray(segs, dtype=float)
@@ -373,7 +388,7 @@ class _Edge:
     def take(self, det, logd, singular):
         # The round's node values: the checks on |det|, then, once the
         # pending panels have all 21 values, their K21 moments and the halves
-        # of those whose G10 count misses their K21 count.
+        # of those whose G10 moments miss their K21 moments.
         z0, z1 = self.z0, self.z1
         if singular.any():
             self.error = ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
@@ -398,16 +413,16 @@ class _Edge:
         a, b = self.pending[:, 0], self.pending[:, 1]
         scale = 0.5 * (b - a) * (z1 - z0)
         vals = f @ _GK_MOMENTS * scale[:, None]
-        err = np.abs(vals[:, 0] - f[:, :10] @ _G_WEIGHTS * scale)
+        err = np.abs(vals - f[:, :10] @ _G_MOMENTS * scale[:, None])
         tiny = (b - a) <= _MIN_SEG
-        ok = tiny | (err <= _EDGE_BUDGET * (b - a))
+        ok = tiny | (err.max(axis=1) <= _SETTLE * (b - a))
         self.done_a.append(a[ok])
         self.done_val.append(vals[ok])
         a, b = a[~ok], b[~ok]
         m = 0.5 * (a + b)
         self.pending = np.column_stack([a, m, m, b]).reshape(-1, 2)
         self.processed += len(self.pending)
-        if self.processed > _MAX_SEGS or np.any(tiny & (err > _EDGE_BUDGET)):
+        if self.processed > _MAX_SEGS or np.any(tiny & (err[:, 0] > _EDGE_BUDGET)):
             self.error = _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle",
                                      self.min_det, self.med)
         elif not len(self.pending):
@@ -420,7 +435,7 @@ class _Edge:
 def _adaptive_edges(sys, edges):
     # Panel-adaptive quadrature of logderiv along the edges (z0, z1) or
     # (z0, z1, starting panels) together: a panel settles when its G10 and
-    # K21 counts agree, and is halved otherwise, which fails to terminate
+    # K21 moments agree, and is halved otherwise, which fails to terminate
     # only when a zero of det sits (numerically) on the edge.  Each round
     # evaluates the pending panels of every edge in one loop of chunks.  An
     # edge that fails stops alone; the first failed edge is raised once the
@@ -563,13 +578,15 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     """Number of zeros of det D inside the rectangle, counting multiplicity.
 
     The winding number of det D over the boundary is integrated by adaptive
-    Gauss-Kronrod G10/K21 panels until it lies within 0.25 of an integer:
-    a panel settles, at 21 points, when its G10 and K21 counts agree, and
-    is halved otherwise.  The contour is always a copy of the rectangle
-    inflated by deterministic pseudo-random factors in [1e-6, 1e-4] of its
-    size, one for both imaginary sides, so that symmetry about the real
-    axis is kept; a zero
-    exactly on the requested boundary would otherwise contribute a half
+    Gauss-Kronrod G10/K21 panels, max(4, ceil(length / 2)) to start with
+    per edge: a panel settles, at 21 points, when its G10 and K21 moments
+    against xi^q, q < 8 in the panel's variable xi, each differ by at most
+    1e-3 times its share of the edge, and is halved otherwise, so the
+    error estimate of each edge's count is at most 1e-3.  The contour is
+    always a copy of the rectangle inflated by deterministic pseudo-random
+    factors in [1e-6, 1e-4] of its size, one for both imaginary sides, so
+    that symmetry about the real axis is kept; a zero exactly on the
+    requested boundary would otherwise contribute a half
     winding (an integer for even multiplicities, hence undetectable).  The
     contour is integrated once: a det that vanishes or is not finite on it
     raises ContourThroughZero, and panels that do not settle raise
@@ -586,14 +603,17 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
 
 
 def _residuals(sys, lams):
-    # per point, as find_roots defines it; a zero M is left out, as inf * 0 is NaN
+    # per point, as find_roots defines it: D and the denominator from one
+    # pass over D's terms; a zero M is left out of the denominator, as
+    # inf * 0 is NaN
     lam = np.asarray(lams, dtype=complex)[:, None, None]
-    sig = np.linalg.svd(delta_many(sys, lam.ravel()), compute_uv=False)[:, -1:, None]
-    scale = np.abs(lam)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        T, scale = lam * np.eye(sys.n), np.abs(lam)
         for w, M in _terms(sys, lam, False):
+            T = T - w * M
             if norm := np.linalg.norm(M):
                 scale = scale + np.abs(w) * norm
+    sig = np.linalg.svd(T, compute_uv=False)[:, -1:, None]
     return np.divide(sig, scale, out=np.zeros_like(sig), where=scale > 0).ravel().tolist()
 
 

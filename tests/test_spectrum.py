@@ -396,11 +396,11 @@ def test_find_roots_batches_per_search(ex5, monkeypatch):
 def test_find_roots_memory_on_a_tall_window(monkeypatch):
     # an n = 2 system on the tall window of the spectrum-wide benchmark: no
     # D batch above 120 points (640 when each edge was integrated alone) and
-    # a tracemalloc peak below 150,000 bytes (276,744 when each edge was
+    # a tracemalloc peak below 100,000 bytes (276,744 when each edge was
     # integrated alone, about 170,000 while the moments were shifted through
-    # a (panels, P, P) binomial tensor, about 105,000 by the two-term
-    # recurrence); the first search warms numpy's first-call state, which
-    # would dominate
+    # a (panels, P, P) binomial tensor, about 106,000 by the two-term
+    # recurrence at 1.25 starting panels per unit, about 75,000 at 0.5);
+    # the first search warms numpy's first-call state, which would dominate
     sys = kernel_system()
     region = SpectrumRegion(-4, 3, -25, 25)
     find_roots(sys, region)
@@ -414,7 +414,7 @@ def test_find_roots_memory_on_a_tall_window(monkeypatch):
         tracemalloc.stop()
     assert sum(r.multiplicity for r in roots) == count_zeros(sys, region) > 0
     assert max(batches) <= 120
-    assert peak < 150_000
+    assert peak < 100_000
 
 
 def _scalar_newton(sys, lam, mult):
@@ -748,7 +748,7 @@ def test_editing_a_returned_list_does_not_change_the_next(ex5):
 
 def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):
     # the root 1e4 stretches the default window's bottom edge to 20,004, so
-    # its starting grid of 25,005 panels exceeds the budget; the edge used to
+    # its starting grid of 10,002 panels exceeds the budget; the edge used to
     # fail only after 750,150 points and about 190 MB
     sys = NeutralSystem(n=2, m=1, p=0, A_minus1=Z2, A0=np.diag([1e4, -1.0]), A1=Z2,
                         B=[[1], [0]])
@@ -757,7 +757,7 @@ def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(QuadratureNotConverged,
-                           match=r"^25005 starting panels on edge \(-2\.\d+-63\.\d+j\) -> "
+                           match=r"^10002 starting panels on edge \(-2\.\d+-63\.\d+j\) -> "
                                  r"\(20001\.\d+-63\.\d+j\) exceed the budget of 4000$"):
             count_zeros(sys, region)
         peak = tracemalloc.get_traced_memory()[1]
@@ -765,6 +765,17 @@ def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):
         tracemalloc.stop()
     assert points == []
     assert peak < 2_000_000
+
+
+def test_default_region_of_a_far_right_root():
+    # the root 3000 stretches the default window's bottom edge to 6,003,
+    # which starts from 3,002 panels, under the budget (7,505 at 1.25 panels
+    # per unit, which raised QuadratureNotConverged before evaluating)
+    sys = NeutralSystem(n=2, m=1, p=0, A_minus1=Z2, A0=np.diag([3000.0, -1.0]), A1=Z2,
+                        B=[[1], [0]])
+    roots = find_roots(sys, default_region(sys))
+    assert [r.multiplicity for r in roots] == [1, 1]
+    assert all(abs(r.lam - z) <= 1e-12 * abs(z) for r, z in zip(roots, (-1.0, 3000.0)))
 
 
 def test_gauss_kronrod_table():
@@ -790,12 +801,13 @@ def test_gauss_kronrod_table():
 def test_edge_points_per_settled_and_halved_panel(monkeypatch):
     # on a zero-free edge every starting panel settles in two rounds: its 10
     # Gauss nodes, then its 11 Kronrod nodes, 21 points in all (30 when the
-    # rule was GL10 against GL10 on the halves); a panel that does not settle
-    # is halved, and each half costs all 21 nodes in one round
+    # rule was GL10 against GL10 on the halves); the edge of length 8 starts
+    # from 4 panels (10 at 1.25 panels per unit); a panel that does not
+    # settle is halved, and each half costs all 21 nodes in one round
     points = count_points(monkeypatch, "_det_logderiv_many")
     sys = scalar_system(a0=5.0)
     ((side, _, _),) = _adaptive_edges(sys, [(-1 - 4j, -1 + 4j)])
-    assert points == [100, 110] and len(side.t) == 11
+    assert points == [40, 44] and len(side.t) == 5
     monkeypatch.setattr(spectrum, "_CHUNK", 10**6)  # one call per round
     del points[:]
     near = scalar_system(a0=-0.09)
@@ -812,10 +824,10 @@ def test_edge_points_per_settled_and_halved_panel(monkeypatch):
     ((-0.7, 1.3), SpectrumRegion(-2, 2.5, -0.5, 2)),
 ])
 def test_moments_of_planted_zeros(zeros, region):
-    # det D = prod (lambda - a) through a diagonal A0: the moments S_0 and
-    # S_1 of the outer contour (mirrored on a symmetric window) and of the
-    # children of a horizontal and a vertical split are the count and the
-    # exact sum of (a - c) / rho over the zeros inside
+    # det D = prod (lambda - a) through a diagonal A0: every moment S_p,
+    # p < _P, of the outer contour (mirrored on a symmetric window) and of
+    # the children of a horizontal and a vertical split is the exact sum of
+    # ((a - c) / rho)^p over the zeros inside, S_0 their count
     n = len(zeros)
     sys = NeutralSystem(n=n, m=1, p=0, A_minus1=np.zeros((n, n)), A0=np.diag(zeros),
                         A1=np.zeros((n, n)), B=np.ones((n, 1)))
@@ -828,10 +840,10 @@ def test_moments_of_planted_zeros(zeros, region):
         c = complex(0.5 * (r.re_min + r.re_max), 0.5 * (r.im_min + r.im_max))
         rho = 0.5 * math.hypot(r.width, r.height)
         inside = [a for a in zeros if r.contains(complex(a))]
-        S = _moments(s, c, rho, 2)
+        S = _moments(s, c, rho, spectrum._P)
         assert k == len(inside)
-        assert abs(S[0] - len(inside)) <= 1e-12
-        assert abs(S[1] - sum((a - c) / rho for a in inside)) <= 1e-12
+        for p in range(spectrum._P):
+            assert abs(S[p] - sum(((a - c) / rho) ** p for a in inside)) <= 1e-12
 
 
 def _mp_shifted_moments(sides, c, rho, P):
