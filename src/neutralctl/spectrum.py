@@ -20,16 +20,15 @@ each sub-rectangle reuses its parent's edge panels and adds one cut line,
 which gets the same edge-local vanishing-determinant check as every edge.  A
 contour step (the outer contour's edges, or a cut line with the straddled
 panels of the sides it slices) is one panel loop over all of its edges,
-whose rounds are evaluated in chunks of at most _CHUNK = 120 points.
-Each edge starts from max(4, ceil(length / 2)) panels.  A panel settles at
-21 points when its Gauss-Kronrod G10 and K21 moments against xi^q agree
-for every q < _P (its 10 Gauss nodes in one round, its 11 Kronrod nodes in
-the next), and is halved otherwise, each half taking all 21 nodes in one
-round.  Every coefficient is real, so det D(conj lambda) = conj
-det D(lambda): a contour symmetric about the real axis is integrated on its
-lower half and mirrored, and find_roots searches only above a cut just
-below the real axis and reflects what it finds there.  Each nonzero
-eigenvalue mu of A_minus1
+whose rounds are evaluated in the fewest equal chunks of at most
+_CHUNK = 120 points.  Each edge starts from max(4, ceil(length / 2))
+panels, and every panel, starting or halved, takes its 21 Gauss-Kronrod
+nodes in one round.  It settles when its G10 and K21 moments against xi^q
+agree for every q < _P, and is halved otherwise.  Every coefficient is
+real, so det D(conj lambda) = conj det D(lambda): a contour symmetric
+about the real axis is integrated on its lower half and mirrored, and
+find_roots searches only above a cut just below the real axis and
+reflects what it finds there.  Each nonzero eigenvalue mu of A_minus1
 generates a vertical chain of eigenvalues approaching
 ln|mu| + i(arg mu + 2 pi k), which this module predicts directly.
 """
@@ -351,8 +350,9 @@ _PANELS_PER_UNIT = 0.5
 _EDGE_BUDGET = 0.47 / 4.0
 _MIN_SEG = 1e-12
 _MAX_SEGS = 4000
-# Points per _det_logderiv_many call: a quadrature round is evaluated in
-# chunks of at most this many, which bounds the largest D batch in memory.
+# Points per _det_logderiv_many call: a quadrature round is evaluated in the
+# fewest chunks of at most this many, all of one size, which bounds the
+# largest D batch in memory.
 _CHUNK = 120
 # A cut this close (in side parameter) to a panel boundary reuses the boundary.
 _SNAP = 1e-12
@@ -360,9 +360,8 @@ _SNAP = 1e-12
 
 class _Edge:
     # One edge of _adaptive_edges: the panels (a, b) in its parameter to
-    # evaluate next, at the nodes xi of their own variable, and between the
-    # first two rounds the starting panels' G10 values; side or error once
-    # it has finished.  The starting panels default to a uniform grid.
+    # evaluate next, each at all 21 of its nodes in one round; side or error
+    # once it has finished.  The starting panels default to a uniform grid.
 
     def __init__(self, z0, z1, segs=None):
         if segs is None:
@@ -371,8 +370,7 @@ class _Edge:
         self.z0, self.z1 = z0, z1
         self.pending = np.asarray(segs, dtype=float)
         self.end = self.pending[-1, 1]
-        self.xi = _GK_NODES[:10]
-        self.gauss = self.med = self.side = self.error = None
+        self.med = self.side = self.error = None
         self.done_a, self.done_val = [], []
         self.processed = len(self.pending)
         if len(self.pending) > _MAX_SEGS:
@@ -383,33 +381,28 @@ class _Edge:
     def nodes(self):
         a = self.pending[:, 0][:, None]
         hw = 0.5 * (self.pending[:, 1] - self.pending[:, 0])[:, None]
-        return self.z0 + (a + (self.xi + 1.0) * hw).ravel() * (self.z1 - self.z0)
+        return self.z0 + (a + (_GK_NODES + 1.0) * hw).ravel() * (self.z1 - self.z0)
 
-    def take(self, det, logd, singular):
-        # The round's node values: the checks on |det|, then, once the
-        # pending panels have all 21 values, their K21 moments and the halves
-        # of those whose G10 moments miss their K21 moments.
+    def take(self, mags, logd, singular):
+        # The round's |det| and logderiv values: the checks on |det|, against
+        # the median over the starting panels' nodes, then the pending panels'
+        # K21 moments and the halves of those whose G10 moments miss them.
         z0, z1 = self.z0, self.z1
         if singular.any():
             self.error = ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
             return
-        mags = np.abs(det)
         if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(logd)):
             lo, med = float(np.min(mags)), float(np.median(mags))
             self.error = _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
             return
-        f = logd.reshape(len(self.pending), -1)
         if self.med is None:
-            self.gauss, self.xi = f, _GK_NODES[10:]
-            self.med, self.min_det = float(np.median(mags)), float(np.min(mags))
-            return
+            self.med, self.min_det = float(np.median(mags)), math.inf
         self.min_det = min(self.min_det, float(np.min(mags)))
         if self.min_det <= 1e-12 * self.med:
             self.error = _edge_error(ContourThroughZero, z0, z1, "det D vanishes",
                                      self.min_det, self.med)
             return
-        if self.gauss is not None:
-            f, self.gauss, self.xi = np.concatenate([self.gauss, f], axis=1), None, _GK_NODES
+        f = logd.reshape(len(self.pending), -1)
         a, b = self.pending[:, 0], self.pending[:, 1]
         scale = 0.5 * (b - a) * (z1 - z0)
         vals = f @ _GK_MOMENTS * scale[:, None]
@@ -458,18 +451,22 @@ def _adaptive_edges(sys, edges):
 
 def _quadrature_round(sys, live):
     # One round of _adaptive_edges: the pending nodes of the live edges, in
-    # order, in _det_logderiv_many calls of at most _CHUNK points, and each
-    # edge's share of the values handed to it
+    # order, in the fewest _det_logderiv_many calls of at most _CHUNK points,
+    # of equal size, and each edge's share of the values handed to it.  Each
+    # node's logderiv is written over the node and only |det| is kept, so a
+    # round holds one complex and one float per node.
     z = np.concatenate([run.nodes() for run in live])
-    det, logd = np.empty_like(z), np.empty_like(z)
+    mags = np.empty(len(z))
     singular = np.empty(len(z), dtype=bool)
-    for i in range(0, len(z), _CHUNK):
-        part = slice(i, i + _CHUNK)
-        det[part], logd[part], singular[part] = _det_logderiv_many(sys, z[part])
+    size = math.ceil(len(z) / math.ceil(len(z) / _CHUNK))
+    for i in range(0, len(z), size):
+        part = slice(i, i + size)
+        det, z[part], singular[part] = _det_logderiv_many(sys, z[part])
+        mags[part] = np.abs(det)
     at = 0
     for run in live:
-        part = slice(at, at + len(run.xi) * len(run.pending))
-        run.take(det[part], logd[part], singular[part])
+        part = slice(at, at + len(_GK_NODES) * len(run.pending))
+        run.take(mags[part], z[part], singular[part])
         at = part.stop
 
 
@@ -579,25 +576,25 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
 
     The winding number of det D over the boundary is integrated by adaptive
     Gauss-Kronrod G10/K21 panels, max(4, ceil(length / 2)) to start with
-    per edge: a panel settles, at 21 points, when its G10 and K21 moments
-    against xi^q, q < 8 in the panel's variable xi, each differ by at most
-    1e-3 times its share of the edge, and is halved otherwise, so the
-    error estimate of each edge's count is at most 1e-3.  The contour is
-    always a copy of the rectangle inflated by deterministic pseudo-random
-    factors in [1e-6, 1e-4] of its size, one for both imaginary sides, so
-    that symmetry about the real axis is kept; a zero exactly on the
-    requested boundary would otherwise contribute a half
-    winding (an integer for even multiplicities, hence undetectable).  The
+    per edge, each evaluated at its 21 nodes in one round: a panel settles
+    when its G10 and K21 moments against xi^q, q < 8 in the panel's
+    variable xi, each differ by at most 1e-3 times its share of the edge,
+    and is halved otherwise, so the error estimate of each edge's count is
+    at most 1e-3.  The contour is always a copy of the rectangle inflated
+    by deterministic pseudo-random factors in [1e-6, 1e-4] of its size, one
+    for both imaginary sides, so that symmetry about the real axis is kept;
+    a zero exactly on the requested boundary would otherwise contribute a
+    half winding (an integer for even multiplicities, hence undetectable).  The
     contour is integrated once: a det that vanishes or is not finite on it
     raises ContourThroughZero, and panels that do not settle raise
     QuadratureNotConverged, each naming the edge.  On a rectangle symmetric
     about the real axis only the bottom edge and the lower halves of the
     vertical sides are integrated; the rest is their mirror image, since
     det D(conj lambda) = conj det D(lambda).  The integrated edges share one
-    panel loop: each round evaluates all of their pending panels, in
-    chunks of at most 120 points, and the first failing edge in order is
-    reported.  find_roots integrates this outer contour once; its
-    sub-rectangles reuse it plus one cut line each.
+    panel loop: each round evaluates all of their pending panels, in the
+    fewest equal chunks of at most 120 points, and the first failing edge
+    in order is reported.  find_roots integrates this outer contour once;
+    its sub-rectangles reuse it plus one cut line each.
     """
     return _outer_contour(sys, region)[0]
 

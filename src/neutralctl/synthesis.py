@@ -129,8 +129,12 @@ def verify_decay(
 
     True when the spectral abscissa of the closed loop, the larger of its
     roots in the region and its chain abscissas, lies strictly left of
-    -omega.  The default region is as in synthesize_stage1.
+    -omega.  The default region is as in synthesize_stage1.  omega may be
+    zero or negative (omega = 0 asks for plain stability) but must be
+    finite, else ValueError is raised before any search.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     closed = apply_feedback(sys, law)
     if region is None:
         region = _decay_region(closed, omega)

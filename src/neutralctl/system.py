@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,10 @@ class NoOutputError(ValueError):
 
 
 def _freeze(a):
-    a = np.array(a, dtype=float)
+    # a row-major copy, also of a transposed view: the layout sets the
+    # summation order of matmul and np.linalg.norm, so the last bits of a
+    # derived system's results
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -305,20 +308,9 @@ def transpose_dual(sys: NeutralSystem) -> NeutralSystem:
     """
     if sys.p == 0:
         raise NoOutputError("transpose_dual needs an output matrix (p >= 1)")
-    kernels = tuple(
-        KernelSegment(s.a, s.b, s.A2.T.copy(), s.A3.T.copy()) for s in sys.kernels
-    )
-    return NeutralSystem(
-        n=sys.n,
-        m=sys.p,
-        p=sys.m,
-        A_minus1=sys.A_minus1.T.copy(),
-        A0=sys.A0.T.copy(),
-        A1=sys.A1.T.copy(),
-        B=sys.C.T.copy(),
-        C=sys.B.T.copy(),
-        kernels=kernels,
-    )
+    kernels = tuple(replace(s, A2=s.A2.T, A3=s.A3.T) for s in sys.kernels)
+    return replace(sys, m=sys.p, p=sys.m, A_minus1=sys.A_minus1.T, A0=sys.A0.T,
+                   A1=sys.A1.T, B=sys.C.T, C=sys.B.T, kernels=kernels)
 
 
 def apply_feedback(sys: NeutralSystem, law: FeedbackLaw) -> NeutralSystem:
@@ -327,17 +319,8 @@ def apply_feedback(sys: NeutralSystem, law: FeedbackLaw) -> NeutralSystem:
         raise DimensionError(
             f"feedback gains have shape {law.F_minus1.shape}, expected ({sys.m}, {sys.n})"
         )
-    return NeutralSystem(
-        n=sys.n,
-        m=sys.m,
-        p=sys.p,
-        A_minus1=sys.A_minus1 + sys.B @ law.F_minus1,
-        A0=sys.A0 + sys.B @ law.F0,
-        A1=sys.A1 + sys.B @ law.F1,
-        B=sys.B,
-        C=sys.C,
-        kernels=sys.kernels,
-    )
+    return replace(sys, A_minus1=sys.A_minus1 + sys.B @ law.F_minus1,
+                   A0=sys.A0 + sys.B @ law.F0, A1=sys.A1 + sys.B @ law.F1)
 
 
 def parse_feedback(text: str, m: int, n: int) -> FeedbackLaw:

@@ -396,11 +396,13 @@ def test_find_roots_batches_per_search(ex5, monkeypatch):
 def test_find_roots_memory_on_a_tall_window(monkeypatch):
     # an n = 2 system on the tall window of the spectrum-wide benchmark: no
     # D batch above 120 points (640 when each edge was integrated alone) and
-    # a tracemalloc peak below 100,000 bytes (276,744 when each edge was
+    # a tracemalloc peak below 85,000 bytes (276,744 when each edge was
     # integrated alone, about 170,000 while the moments were shifted through
     # a (panels, P, P) binomial tensor, about 106,000 by the two-term
-    # recurrence at 1.25 starting panels per unit, about 75,000 at 0.5);
-    # the first search warms numpy's first-call state, which would dominate
+    # recurrence at 1.25 starting panels per unit, about 75,000 at 0.5 while
+    # starting panels took their G10 and Kronrod nodes in two rounds, about
+    # 65,000 in one); the first search warms numpy's first-call state, which
+    # would dominate
     sys = kernel_system()
     region = SpectrumRegion(-4, 3, -25, 25)
     find_roots(sys, region)
@@ -414,7 +416,7 @@ def test_find_roots_memory_on_a_tall_window(monkeypatch):
         tracemalloc.stop()
     assert sum(r.multiplicity for r in roots) == count_zeros(sys, region) > 0
     assert max(batches) <= 120
-    assert peak < 100_000
+    assert peak < 85_000
 
 
 def _scalar_newton(sys, lam, mult):
@@ -799,22 +801,23 @@ def test_gauss_kronrod_table():
 
 
 def test_edge_points_per_settled_and_halved_panel(monkeypatch):
-    # on a zero-free edge every starting panel settles in two rounds: its 10
-    # Gauss nodes, then its 11 Kronrod nodes, 21 points in all (30 when the
-    # rule was GL10 against GL10 on the halves); the edge of length 8 starts
-    # from 4 panels (10 at 1.25 panels per unit); a panel that does not
-    # settle is halved, and each half costs all 21 nodes in one round
+    # on a zero-free edge every starting panel settles in one round at its 21
+    # Gauss-Kronrod nodes (two rounds of 10 and 11 when the G10 nodes came
+    # first, 30 points when the rule was GL10 against GL10 on the halves);
+    # the edge of length 8 starts from 4 panels (10 at 1.25 panels per
+    # unit), so its 84 points are one call; a panel that does not settle is
+    # halved, and each half also costs all 21 nodes in one round
     points = count_points(monkeypatch, "_det_logderiv_many")
     sys = scalar_system(a0=5.0)
     ((side, _, _),) = _adaptive_edges(sys, [(-1 - 4j, -1 + 4j)])
-    assert points == [40, 44] and len(side.t) == 5
+    assert points == [84] and len(side.t) == 5
     monkeypatch.setattr(spectrum, "_CHUNK", 10**6)  # one call per round
     del points[:]
     near = scalar_system(a0=-0.09)
     ((side, _, _),) = _adaptive_edges(near, [(-0.1 - 5j, -0.1 + 5j, [(0.0, 1.0)])])
-    assert points[:3] == [10, 11, 42] and len(points) > 3
-    assert all(p % 42 == 0 for p in points[2:])
-    assert len(side.t) - 1 == 1 + sum(points[2:]) // 42
+    assert points[:2] == [21, 42] and len(points) > 2
+    assert all(p % 42 == 0 for p in points[1:])
+    assert len(side.t) - 1 == 1 + sum(points[1:]) // 42
 
 
 @pytest.mark.parametrize("zeros, region", [
@@ -1062,6 +1065,34 @@ def test_mirrored_outer_contour_matches_full_integration():
     mirrored, direct = _moments(sides, c, rho, 8), _moments(full, c, rho, 8)
     assert count == round(direct[0].real) > 0
     assert np.all(np.abs(mirrored - direct) <= 1e-8)
+
+
+@pytest.mark.parametrize("make, region", [
+    (kernel_system, SpectrumRegion(-4, 3, -25, 25)),
+    (kernel_system4, SpectrumRegion(-4, 3, -10, 10)),
+    (kernel_system4, SpectrumRegion(-4, 3, -3, 9)),
+])
+def test_outer_contour_moments_against_mpmath_zeros(make, region):
+    # the accuracy of all eight moments of the outer contour (mirrored on the
+    # symmetric windows, direct on the other), in its own variable u =
+    # (lambda - c) / rho: S_p against sum m u^p over its zeros, each refined
+    # from its reported root by findroot on det D at 40 digits, so that the
+    # reference shares no quadrature with the contour (the mirrored test
+    # compares two integrations by the same rule)
+    sys = make()
+    count, rect, sides = _outer_contour(sys, region)
+    c = complex(0.5 * (rect.re_min + rect.re_max), 0.5 * (rect.im_min + rect.im_max))
+    rho = 0.5 * math.hypot(rect.width, rect.height)
+    S = _moments(sides, c, rho, 8)
+    inside = [r for r in find_roots(sys, region) if rect.contains(r.lam)]
+    assert sum(r.multiplicity for r in inside) == count > 0
+    with mpmath.workdps(40):
+        zeros = [mpmath.findroot(lambda z: _mp_det(sys, z), mpmath.mpc(r.lam)) for r in inside]
+        for r, z in zip(inside, zeros):
+            assert abs(complex(z) - r.lam) <= 1e-8 * max(1.0, abs(r.lam))
+        for p in range(8):
+            ref = sum(r.multiplicity * ((z - c) / rho) ** p for r, z in zip(inside, zeros))
+            assert abs(mpmath.mpc(S[p]) - ref) <= 1e-10
 
 
 def test_predict_chains_example5(ex5):

@@ -21,6 +21,7 @@ from neutralctl import (
     verify_decay,
     zero_law,
 )
+from neutralctl import spectrum
 
 Z2 = np.zeros((2, 2))
 REGION = SpectrumRegion(-2, 2, -14, 14)
@@ -111,6 +112,17 @@ def test_verify_decay_zero_law(ex5):
     ok, abscissa = verify_decay(ex5, zero_law(ex5), 0.5, REGION)
     assert not ok
     assert abs(abscissa) < 1e-8
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_verify_decay_rejects_non_finite_omega(ex5, omega, monkeypatch):
+    # nan answered (False, ...) and -inf True; inf blamed the region bounds
+    calls = []
+    monkeypatch.setattr(spectrum, "_det_logderiv_many", lambda *args: calls.append(args))
+    for region in (None, REGION):
+        with pytest.raises(ValueError, match="^omega must be finite, got "):
+            verify_decay(ex5, zero_law(ex5), omega, region)
+    assert calls == []
 
 
 def test_stage1_intermediate_system_consistency(ex5):
