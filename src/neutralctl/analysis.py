@@ -20,7 +20,7 @@ check on the transposed system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,12 +78,17 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Verdict:
+    """A verdict, with the criterion and tolerances that decided it."""
+
     condition1: CheckResult
     condition2: CheckResult
     overall: bool
     region: SpectrumRegion
     conjecture_note: str
     status: str  # "pass", "conjecture-pass", "necessary-failed", "fail"
+    kind: str  # "stabilizability", "null_controllability", "final_observability"
+    tol_rank: float
+    tol_root: float
 
 
 def check_condition2(sys: NeutralSystem, tol_rank: float = DEFAULT_RANK_TOL) -> CheckResult:
@@ -153,7 +158,7 @@ def _combine(sys, region, tol_rank, tol_root, kind):
     else:
         status = "conjecture-pass" if overall else "necessary-failed"
         note = _CONJECTURE_PASS if overall else _CONJECTURE_FAIL
-    return Verdict(c1, c2, overall, region, note, status)
+    return Verdict(c1, c2, overall, region, note, status, kind, tol_rank, tol_root)
 
 
 def check_stabilizability(
@@ -205,9 +210,8 @@ def check_final_observability(
             result.scope,
         )
 
-    return Verdict(
-        flip(v.condition1), flip(v.condition2), v.overall, v.region, v.conjecture_note, v.status
-    )
+    return replace(v, condition1=flip(v.condition1), condition2=flip(v.condition2),
+                   kind="final_observability")
 
 
 _KIND_DESCRIPTIONS = {
@@ -238,16 +242,12 @@ def _witness_to_dict(w: Witness) -> dict:
     }
 
 
-def verdict_to_dict(
-    verdict: Verdict,
-    kind: str,
-    tol_rank: float = DEFAULT_RANK_TOL,
-    tol_root: float = DEFAULT_ROOT_TOL,
-) -> dict:
-    """Fixed JSON-ready schema for CI diffing."""
+def verdict_to_dict(verdict: Verdict) -> dict:
+    """Fixed JSON-ready schema for CI diffing: the verdict with its own kind
+    and tolerances."""
     return {
-        "kind": kind,
-        "criterion": _KIND_DESCRIPTIONS[kind],
+        "kind": verdict.kind,
+        "criterion": _KIND_DESCRIPTIONS[verdict.kind],
         "overall": bool(verdict.overall),
         "status": verdict.status,
         "conjecture_note": verdict.conjecture_note,
@@ -262,7 +262,7 @@ def verdict_to_dict(
             "witnesses": [_witness_to_dict(w) for w in verdict.condition2.witnesses],
         },
         "region": verdict.region.as_dict(),
-        "tolerances": {"rank": tol_rank, "root": tol_root},
+        "tolerances": {"rank": verdict.tol_rank, "root": verdict.tol_root},
         "coverage_note": (
             "condition 1 tested at all roots inside the region; chain "
             "eigenvalues beyond it are covered heuristically when condition 2 "

@@ -137,7 +137,7 @@ def _cmd_check(args) -> int:
     basis = transpose_dual(sysm) if kind == "final_observability" else sysm
     region = _resolve_region(args, functools.partial(spectrum.default_region, basis))
     verdict = fn(sysm, region, tol_rank=args.tol_rank, tol_root=args.tol_root)
-    payload = analysis.verdict_to_dict(verdict, kind, args.tol_rank, args.tol_root)
+    payload = analysis.verdict_to_dict(verdict)
     _write(Path(args.out), "verdict.json", _json_dump(payload))
     print(f"{kind}: {'PASS' if verdict.overall else 'FAIL'} ({verdict.status})")
     print(f"  criterion: {payload['criterion']}")

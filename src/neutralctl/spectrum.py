@@ -285,34 +285,28 @@ def delta_derivative(sys: NeutralSystem, lam: complex) -> np.ndarray:
 
 
 def _det_logderiv_many(sys, lam):
-    # (det D, trace(D^{-1} D'), singular) per point.  Where LAPACK meets an
-    # exact zero pivot, singular is set and logd is nan; the stacked solve
-    # raises for the whole stack, so such a batch is solved matrix by matrix.
+    # (det D, trace(D^{-1} D')) per point, from one stacked solve.  Where det
+    # is exactly 0, as wherever LAPACK meets a zero pivot, D is solved as the
+    # identity, so that the stack does not raise, and logd is nan.
     T, Td = delta_many(sys, lam), delta_derivative_many(sys, lam)
-    singular = np.zeros(len(T), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = np.linalg.det(T)
-        try:
-            X = np.linalg.solve(T, Td)
-        except np.linalg.LinAlgError:
-            X = np.full_like(Td, np.nan)
-            for j in range(len(T)):
-                try:
-                    X[j] = np.linalg.solve(T[j], Td[j])
-                except np.linalg.LinAlgError:
-                    singular[j] = True
-        logd = np.trace(X, axis1=1, axis2=2)
-    return det, logd, singular
+        zero = det == 0
+        T[zero] = np.eye(sys.n)
+        logd = np.trace(np.linalg.solve(T, Td), axis1=1, axis2=2)
+    logd[zero] = np.nan
+    return det, logd
 
 
 def det_logderiv(sys: NeutralSystem, lam: complex):
-    """(det D(lambda), trace(D^{-1} D')) via one LU factorization.
+    """(det D(lambda), trace(D^{-1} D')) at one point.
 
     The trace equals (det)'/det by Jacobi's formula.  Raises
-    SingularAtEvaluationPoint when D(lambda) is singular.
+    SingularAtEvaluationPoint where det D(lambda) is exactly 0, which
+    includes a regular D whose det underflows.
     """
-    det, logd, singular = _det_logderiv_many(sys, [lam])
-    if singular[0]:
+    det, logd = _det_logderiv_many(sys, [lam])
+    if det[0] == 0:
         raise SingularAtEvaluationPoint(f"det D is singular at lambda = {complex(lam)}")
     return complex(det[0]), complex(logd[0])
 
@@ -383,12 +377,12 @@ class _Edge:
         hw = 0.5 * (self.pending[:, 1] - self.pending[:, 0])[:, None]
         return self.z0 + (a + (_GK_NODES + 1.0) * hw).ravel() * (self.z1 - self.z0)
 
-    def take(self, mags, logd, singular):
+    def take(self, mags, logd):
         # The round's |det| and logderiv values: the checks on |det|, against
         # the median over the starting panels' nodes, then the pending panels'
         # K21 moments and the halves of those whose G10 moments miss them.
         z0, z1 = self.z0, self.z1
-        if singular.any():
+        if not mags.all():
             self.error = ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
             return
         if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(logd)):
@@ -457,16 +451,15 @@ def _quadrature_round(sys, live):
     # round holds one complex and one float per node.
     z = np.concatenate([run.nodes() for run in live])
     mags = np.empty(len(z))
-    singular = np.empty(len(z), dtype=bool)
     size = math.ceil(len(z) / math.ceil(len(z) / _CHUNK))
     for i in range(0, len(z), size):
         part = slice(i, i + size)
-        det, z[part], singular[part] = _det_logderiv_many(sys, z[part])
+        det, z[part] = _det_logderiv_many(sys, z[part])
         mags[part] = np.abs(det)
     at = 0
     for run in live:
         part = slice(at, at + len(_GK_NODES) * len(run.pending))
-        run.take(mags[part], z[part], singular[part])
+        run.take(mags[part], z[part])
         at = part.stop
 
 
@@ -618,8 +611,8 @@ def _newton(sys, starts, mults):
     # Multiplicity-aware Newton from every start at once, one batch per
     # iteration.  For multiple roots |det| bottoms out at the cancellation
     # noise of the matrix entries, so each start stops at its first step
-    # that does not lower |det|, and one whose D is singular, or whose
-    # logderiv is zero or not finite, stops there: (best point or None,
+    # that does not lower |det|, and one whose det is 0 (D singular), or
+    # whose logderiv is zero or not finite, stops there: (best point or None,
     # iterations) per start.  The update is Python's
     # complex division, whose rounding numpy's does not share.
     lam = [complex(z) for z in starts]
@@ -627,13 +620,11 @@ def _newton(sys, starts, mults):
     out = [None] * len(lam)
     live = list(range(len(lam)))
     for iterations in range(1, 61):
-        det, logd, singular = _det_logderiv_many(sys, [lam[j] for j in live])
+        det, logd = _det_logderiv_many(sys, [lam[j] for j in live])
         going = []
-        for j, dj, gj, sj in zip(live, det, logd, singular):
+        for j, dj, gj in zip(live, det, logd):
             mag = abs(complex(dj))
-            if sj:
-                out[j] = lam[j], iterations
-            elif not mag < best_mag[j]:
+            if not mag < best_mag[j]:
                 out[j] = best[j], iterations
             else:
                 best[j], best_mag[j] = lam[j], mag

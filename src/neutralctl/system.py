@@ -108,12 +108,12 @@ class NeutralSystem:
     kernels: tuple[KernelSegment, ...] = ()
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DimensionError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise DimensionError(f"m must be a positive integer, got {self.m!r}")
-        if not (isinstance(self.p, int) and self.p >= 0):
-            raise DimensionError(f"p must be a nonnegative integer, got {self.p!r}")
+        # a bool is an int to isinstance, but not a dimension
+        for name, least, what in (("n", 1, "positive"), ("m", 1, "positive"),
+                                  ("p", 0, "nonnegative")):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, int) and v >= least):
+                raise DimensionError(f"{name} must be a {what} integer, got {v!r}")
         for name in ("A_minus1", "A0", "A1", "B"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         _check_shape("A_minus1", self.A_minus1, self.n, self.n)

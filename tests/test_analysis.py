@@ -488,8 +488,25 @@ def test_implication_chain(ex3, ex5):
 
 def test_verdict_to_dict_schema(ex5):
     verdict = check_stabilizability(ex5, REGION)
-    payload = verdict_to_dict(verdict, "stabilizability", 1e-9, 1e-9)
+    payload = verdict_to_dict(verdict)
     assert payload["overall"] is True
     assert payload["tolerances"]["rank"] == 1e-9
     assert set(payload["condition1"]) == {"passed", "scope", "witnesses"}
     assert payload["region"]["im_max"] == REGION.im_max
+
+
+@pytest.mark.parametrize("check, kind", [
+    (check_stabilizability, "stabilizability"),
+    (check_null_controllability, "null_controllability"),
+    (check_final_observability, "final_observability"),
+])
+def test_verdict_to_dict_records_what_decided_it(ex5, check, kind):
+    # the record's criterion and tolerances are the verdict's own, so a
+    # verdict cannot be written under another kind or other tolerances
+    sys = NeutralSystem(n=2, m=1, p=1, A_minus1=ex5.A_minus1, A0=ex5.A0, A1=ex5.A1, B=ex5.B,
+                        C=[[0, 1]])
+    verdict = check(sys, REGION, tol_rank=1e-6, tol_root=1e-8)
+    assert (verdict.kind, verdict.tol_rank, verdict.tol_root) == (kind, 1e-6, 1e-8)
+    payload = verdict_to_dict(verdict)
+    assert payload["kind"] == kind
+    assert payload["tolerances"] == {"rank": 1e-6, "root": 1e-8}

@@ -231,6 +231,35 @@ def test_det_logderiv_singular(ex3):
         det_logderiv(ex3, 0.0)
 
 
+def test_det_logderiv_many_marks_exact_zero_pivots_in_a_stack():
+    # D upper triangular with diagonal lambda - A0[i, i], all dyadic, so at
+    # lambda = A0[i, i] LU meets an exact zero pivot and det is exactly 0:
+    # logd is nan there alone, and at the ordinary points of the same stack
+    # it equals a solve of that matrix on its own, bit for bit
+    rng = np.random.default_rng(7)
+    upper = lambda k: np.triu(rng.integers(-8, 9, (4, 4)) / 8.0, k)
+    A0 = upper(1) + np.diag([0.5, -0.25, 1.5, -2.0])
+    sys = NeutralSystem(n=4, m=1, p=0, A_minus1=upper(1), A0=A0, A1=upper(1), B=np.ones((4, 1)))
+    lam = np.array([0.3 + 0.7j, 0.5, -1 + 2j, -0.25, 2 - 0.5j, 1.5, 0.5 + 1e-3j, -2.0])
+    zero = np.isin(lam, np.diag(A0))
+    det, logd = spectrum._det_logderiv_many(sys, lam)
+    assert zero.sum() == 4 and np.array_equal(det == 0, zero)
+    assert np.array_equal(np.isnan(logd), zero)
+    for z, got in zip(lam[~zero], logd[~zero]):
+        want = np.trace(np.linalg.solve(delta(sys, z), delta_derivative(sys, z)))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_det_logderiv_raises_where_det_underflows():
+    # D = 1e-41 I is regular, but its det, 1e-328, underflows to 0: a point
+    # is singular exactly where det is 0, so this one raises too
+    Z8 = np.zeros((8, 8))
+    sys = NeutralSystem(n=8, m=1, p=0, A_minus1=Z8, A0=-1e-41 * np.eye(8), A1=Z8,
+                        B=np.zeros((8, 1)))
+    with pytest.raises(SingularAtEvaluationPoint, match=r"^det D is singular at lambda = 0j$"):
+        det_logderiv(sys, 0.0)
+
+
 def test_count_zeros_example5(ex5):
     assert count_zeros(ex5, SpectrumRegion(-1, 1, -7, 7)) == 5
 

@@ -325,6 +325,15 @@ def test_typed_errors(case):
         make()
 
 
+@pytest.mark.parametrize("field", ["n", "m", "p"])
+def test_bool_dimensions_are_rejected(field):
+    # True passes an int check, and serialize_system would then write
+    # "n": true, which parse_system rejects
+    dims = {"n": 1, "m": 1, "p": 1, field: True}
+    with pytest.raises(DimensionError, match=f"^{field} must be a [a-z]+ integer, got True$"):
+        NeutralSystem(**dims, A_minus1=_M, A0=_M, A1=_M, B=_M, C=_M)
+
+
 def test_string_bounds_are_rejected():
     # a bound is a number: float() alone would parse "-1"
     with pytest.raises(TypeError):
