@@ -16,13 +16,12 @@ together by multiplicity-aware Newton iteration, one batch per iteration,
 keeps them if each residual sigma_min(D) / (|lambda| + sum |w| ||M||_F), the
 normwise backward error, is at most tol, and is split otherwise.  Only
 the outer contour of a search is hash-perturbed, and it is integrated once;
-each sub-rectangle reuses its parent's edge panels and adds one cut line,
-which gets the same edge-local vanishing-determinant check as every edge.  A
+each sub-rectangle reuses its parent's edge panels and adds one cut line.  A
 contour step (the outer contour's edges, or a cut line with the straddled
 panels of the sides it slices) is one panel loop over all of its edges,
-whose rounds are evaluated in the fewest equal chunks of at most
-_CHUNK = 120 points.  Each edge starts from max(4, ceil(length / 2))
-panels, and every panel, starting or halved, takes its 21 Gauss-Kronrod
+whose rounds, in the fewest equal chunks of at most _CHUNK = 120 points,
+are each held to one floor on |det|.  Each edge starts from
+max(4, ceil(length / 2)) panels, and every panel, starting or halved, takes its 21 Gauss-Kronrod
 nodes in one round.  It settles when its G10 and K21 moments against xi^q
 agree for every q < _P, and is halved otherwise.  Every coefficient is
 real, so det D(conj lambda) = conj det D(lambda): a contour symmetric
@@ -354,21 +353,23 @@ _SNAP = 1e-12
 
 class _Edge:
     # One edge of _adaptive_edges: the panels (a, b) in its parameter to
-    # evaluate next, each at all 21 of its nodes in one round; side or error
-    # once it has finished.  The starting panels default to a uniform grid.
+    # evaluate next, each at all 21 of its nodes in one round; side once it
+    # has finished.  The starting panels default to a uniform grid, and own
+    # records that they did.
 
     def __init__(self, z0, z1, segs=None):
-        if segs is None:
+        self.own = segs is None
+        if self.own:
             n0 = max(4, math.ceil(abs(z1 - z0) * _PANELS_PER_UNIT))
             segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
         self.z0, self.z1 = z0, z1
         self.pending = np.asarray(segs, dtype=float)
         self.end = self.pending[-1, 1]
-        self.med = self.side = self.error = None
+        self.med = self.side = None
         self.done_a, self.done_val = [], []
         self.processed = len(self.pending)
         if len(self.pending) > _MAX_SEGS:
-            self.error = QuadratureNotConverged(
+            raise QuadratureNotConverged(
                 f"{len(self.pending)} starting panels on edge {z0} -> {z1} exceed the budget of "
                 f"{_MAX_SEGS}")
 
@@ -378,24 +379,19 @@ class _Edge:
         return self.z0 + (a + (_GK_NODES + 1.0) * hw).ravel() * (self.z1 - self.z0)
 
     def take(self, mags, logd):
-        # The round's |det| and logderiv values: the checks on |det|, against
-        # the median over the starting panels' nodes, then the pending panels'
-        # K21 moments and the halves of those whose G10 moments miss them.
+        # The round's |det| and logderiv values, which must be nonzero and
+        # finite: the median over the starting panels' nodes, the smallest
+        # |det| met, the pending panels' K21 moments and the halves of those
+        # whose G10 moments miss them.
         z0, z1 = self.z0, self.z1
         if not mags.all():
-            self.error = ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
-            return
+            raise ContourThroughZero(f"det D is singular at a node of edge {z0} -> {z1}")
         if not np.all(np.isfinite(mags)) or not np.all(np.isfinite(logd)):
             lo, med = float(np.min(mags)), float(np.median(mags))
-            self.error = _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
-            return
+            raise _edge_error(ContourThroughZero, z0, z1, "det D is not finite", lo, med)
         if self.med is None:
             self.med, self.min_det = float(np.median(mags)), math.inf
         self.min_det = min(self.min_det, float(np.min(mags)))
-        if self.min_det <= 1e-12 * self.med:
-            self.error = _edge_error(ContourThroughZero, z0, z1, "det D vanishes",
-                                     self.min_det, self.med)
-            return
         f = logd.reshape(len(self.pending), -1)
         a, b = self.pending[:, 0], self.pending[:, 1]
         scale = 0.5 * (b - a) * (z1 - z0)
@@ -410,9 +406,9 @@ class _Edge:
         self.pending = np.column_stack([a, m, m, b]).reshape(-1, 2)
         self.processed += len(self.pending)
         if self.processed > _MAX_SEGS or np.any(tiny & (err[:, 0] > _EDGE_BUDGET)):
-            self.error = _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle",
-                                     self.min_det, self.med)
-        elif not len(self.pending):
+            raise _edge_error(QuadratureNotConverged, z0, z1, "panels do not settle",
+                              self.min_det, self.med)
+        if not len(self.pending):
             a = np.concatenate(self.done_a)
             order = np.argsort(a)
             self.side = _Side(z0, z1, np.append(a[order], self.end),
@@ -421,26 +417,28 @@ class _Edge:
 
 def _adaptive_edges(sys, edges):
     # Panel-adaptive quadrature of logderiv along the edges (z0, z1) or
-    # (z0, z1, starting panels) together: a panel settles when its G10 and
-    # K21 moments agree, and is halved otherwise, which fails to terminate
-    # only when a zero of det sits (numerically) on the edge.  Each round
-    # evaluates the pending panels of every edge in one loop of chunks.  An
-    # edge that fails stops alone; the first failed edge is raised once the
-    # edges before it have finished, as if they ran one after another.
-    # Returns (side, median node |det|, smallest node |det|) per edge.
+    # (z0, z1, starting panels) of one contour step together: a panel
+    # settles when its G10 and K21 moments agree, and is halved otherwise.
+    # Each round evaluates the pending panels of every edge in one loop of
+    # chunks.  Then the smallest node |det| met on the edges given no
+    # starting panels must stay above 1e-12 times their largest starting
+    # median; a straddled panel's pieces are not held, as their side passed
+    # this floor when it was laid.  The step stops in the first round in
+    # which anything fails: the first failed edge in order is raised, else
+    # the floor, naming the edge of the minimum.  Returns the sides.
     runs = [_Edge(*edge) for edge in edges]
-    while True:
-        live = []
-        for run in runs:
-            if run.error is not None:
-                if not live:
-                    raise run.error
-                break
-            if run.side is None:
-                live.append(run)
-        if not live:
-            return [(run.side, run.med, run.min_det) for run in runs]
+    held = [run for run in runs if run.own]
+    live = runs
+    while live:
         _quadrature_round(sys, live)
+        if held:
+            low = min(held, key=lambda run: run.min_det)
+            med = max(run.med for run in held)
+            if low.min_det <= 1e-12 * med:
+                raise _edge_error(ContourThroughZero, low.z0, low.z1, "det D vanishes",
+                                  low.min_det, med)
+        live = [run for run in runs if run.side is None]
+    return [run.side for run in runs]
 
 
 def _quadrature_round(sys, live):
@@ -542,19 +540,12 @@ def _outer_contour(sys, region):
     ends = _side_ends(rect)
     if region.im_min == -region.im_max:
         sw, se = ends[0]
-        (bottom, *b), (right, *r), (left, *l) = _adaptive_edges(
+        bottom, right, left = _adaptive_edges(
             sys, [(sw, se), (se, complex(se.real, 0.0)), (sw, complex(sw.real, 0.0))])
         top = _Side(*ends[2], bottom.t, bottom.val.conj())
-        edges = [(bottom, *b), (_mirror_half(right), *r), (top, *b), (_mirror_half(left), *l)]
+        sides = [bottom, _mirror_half(right), top, _mirror_half(left)]
     else:
-        edges = _adaptive_edges(sys, ends)
-    sides, meds, lows = zip(*edges)
-    # cross-edge floor: the smallest |det| of any side against the largest median
-    low = int(np.argmin(lows))
-    med = max(meds)
-    if lows[low] <= 1e-12 * med:
-        what = "det D vanishes (median: largest of the four edges)"
-        raise _edge_error(ContourThroughZero, *ends[low], what, lows[low], med)
+        sides = _adaptive_edges(sys, ends)
     W = _moments(sides)[0]
     if not np.isfinite(W):
         raise ContourThroughZero(f"winding of det D over {rect} is not finite")
@@ -578,16 +569,20 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
     for both imaginary sides, so that symmetry about the real axis is kept;
     a zero exactly on the requested boundary would otherwise contribute a
     half winding (an integer for even multiplicities, hence undetectable).  The
-    contour is integrated once: a det that vanishes or is not finite on it
+    contour is integrated once: a det that is 0 or not finite at a node
     raises ContourThroughZero, and panels that do not settle raise
     QuadratureNotConverged, each naming the edge.  On a rectangle symmetric
     about the real axis only the bottom edge and the lower halves of the
     vertical sides are integrated; the rest is their mirror image, since
     det D(conj lambda) = conj det D(lambda).  The integrated edges share one
     panel loop: each round evaluates all of their pending panels, in the
-    fewest equal chunks of at most 120 points, and the first failing edge
-    in order is reported.  find_roots integrates this outer contour once;
-    its sub-rectangles reuse it plus one cut line each.
+    fewest equal chunks of at most 120 points.  After each round the
+    smallest node |det| met on any of them must stay above 1e-12 times
+    their largest starting median, else "det D vanishes" names the edge of
+    the minimum.  The first round with a failure stops the loop and reports
+    the first failed edge in order, else the floor.  find_roots integrates
+    this outer contour once; its sub-rectangles reuse it plus one cut line
+    each.
     """
     return _outer_contour(sys, region)[0]
 
@@ -734,7 +729,7 @@ def _split(sys, rect, sides, vertical=None, fracs=_SPLIT_FRACTIONS):
         plans = [_straddled(side, frac) for side in cut_sides]
         edges = [line] + [(side.z0, side.z1, p) for side, p in zip(cut_sides, plans) if p]
         try:
-            cut, *pieces = [edge[0] for edge in _adaptive_edges(sys, edges)]
+            cut, *pieces = _adaptive_edges(sys, edges)
         except SpectrumError:
             continue
         (s1, s2), (s3, s4) = [_slice(side, frac, pieces.pop(0) if p else None)

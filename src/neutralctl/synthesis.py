@@ -77,14 +77,15 @@ def synthesize_stage1(
     Controllable modes of A_minus1 are placed at zero (deadbeat), one input
     column at a time (linalg.pole_place_nonzero).  stage1_ok requires every
     chain left of -omega.  The default region is default_region of the
-    closed loop, reaching at least to -omega - 1.  Raises Condition2Violated
-    when some nonzero eigenvalue of A_minus1 is immovable, and
-    PlacementError when the placed gain leaves a computed eigenvalue of
-    A_minus1 + B F_minus1 on or outside the disk of radius e^{-omega}.
+    closed loop, reaching at least to -omega - 1; a given region must reach
+    -omega (re_min <= -omega), else ValueError is raised before any search.
+    Raises Condition2Violated when some nonzero eigenvalue of A_minus1 is
+    immovable, and PlacementError when the placed gain leaves a computed
+    eigenvalue of A_minus1 + B F_minus1 on or outside the disk of radius
+    e^{-omega}.
     """
     F, inter = _stage1_loop(sys, omega, tol_rank)
-    if region is None:
-        region = _decay_region(inter, omega)
+    region = _decay_region(inter, omega, region)
     chains = tuple(predict_chains(inter))
     roots = find_roots(inter, region, tol_root)
     residual = tuple(r for r in roots if r.lam.real >= -omega - 1e-10)
@@ -129,21 +130,26 @@ def verify_decay(
 
     True when the spectral abscissa of the closed loop, the larger of its
     roots in the region and its chain abscissas, lies strictly left of
-    -omega.  The default region is as in synthesize_stage1.  omega may be
-    zero or negative (omega = 0 asks for plain stability) but must be
-    finite, else ValueError is raised before any search.
+    -omega.  The default region, and the reach a given one must have, are
+    as in synthesize_stage1.  omega may be zero or negative (omega = 0 asks
+    for plain stability) but must be finite, else ValueError is raised
+    before any search.
     """
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
     closed = apply_feedback(sys, law)
-    if region is None:
-        region = _decay_region(closed, omega)
+    region = _decay_region(closed, omega, region)
     abscissa, _ = spectral_abscissa(closed, region)
     return abscissa < -omega, abscissa
 
 
-def _decay_region(sys: NeutralSystem, omega: float) -> SpectrumRegion:
-    # the default region, widened so that roots with Re >= -omega are seen
+def _decay_region(sys: NeutralSystem, omega: float, region=None) -> SpectrumRegion:
+    # the roots with Re >= -omega decide both answers: a given region must
+    # reach -omega, and the default one is widened to -omega - 1
+    if region is not None:
+        if region.re_min > -omega:
+            raise ValueError(f"region re_min = {region.re_min} does not reach -omega = {-omega}")
+        return region
     region = default_region(sys)
     return replace(region, re_min=min(region.re_min, -omega - 1.0))
 

@@ -165,6 +165,25 @@ def test_synthesize_partial_region_flags_use_the_plan_window(tmp_path, capsys):
         assert abs(root["re"] + 2.95) < 1e-9 and root["im"] == 0.0
 
 
+@pytest.mark.parametrize("flags", [["--re-min", "-2", "--re-max", "2", "--im-max", "8"],
+                                   ["--re-min", "-2"]])
+def test_synthesize_window_short_of_minus_omega_is_operational_error(tmp_path, capsys,
+                                                                     monkeypatch, flags):
+    # the window from -2 hid the root at -2.5, and the plan said no second
+    # stage was required; the window is refused before any D is evaluated
+    f = tmp_path / "fast.json"
+    f.write_text('{"n":1,"m":1,"A_minus1":[[0]],"A0":[[-2.5]],"A1":[[0]],"B":[[1]]}')
+    calls = []
+    monkeypatch.setattr(spectrum, "_det_logderiv_many", lambda *args: calls.append(args))
+    out = tmp_path / "out"
+    code = run("synthesize", "--system", str(f), "--omega", "3", *flags, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: region re_min = -2.0 does not reach -omega = -3.0\n")
+    assert not (out / "plan.json").exists()
+    assert calls == []
+
+
 def test_synthesize_unplaceable_gain_is_operational_error(tmp_path, capsys):
     # no single-input gain puts the computed spectrum of this clustered
     # neutral coefficient inside e^-2; the old zero cutoff accepted one of

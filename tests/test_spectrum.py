@@ -514,9 +514,9 @@ def test_batched_newton_matches_one_start_at_a_time():
 
 
 def test_merged_edge_rounds_name_the_failing_edge():
-    # edges integrated together fail as if integrated one after another: a
-    # singular node or a non-finite det names its own edge, and of several
-    # failing edges the first in order is reported
+    # edges integrated together stop in the first round in which any fails:
+    # a singular node or a non-finite det names its own edge, and of several
+    # edges failing in one round the first in order is reported
     edge = (-1 + 0j, 1 + 0j)
     node = spectrum._Edge(*edge).nodes()[3]
     assert node.imag == 0.0
@@ -532,11 +532,53 @@ def test_merged_edge_rounds_name_the_failing_edge():
                            match=rf"^det D is not finite on edge \({named}-5j\)"):
             _adaptive_edges(far_left, order)
     # the zero at 0 stops the first edge only after some halvings, while
-    # the west edge fails in the first round
+    # the west edge fails in the first round, which stops the step
     with pytest.raises(ContourThroughZero, match=r"^det D vanishes on edge \(-0-1j\) -> 1j "):
+        _adaptive_edges(far_left, [(-1j, 1j), good])
+    with pytest.raises(ContourThroughZero, match=r"^det D is not finite on edge \(-800-5j\)"):
         _adaptive_edges(far_left, [(-1j, 1j), west])
     sides = _adaptive_edges(far_left, [good])
-    assert len(sides) == 1 and sides[0][0].z1 == good[1]
+    assert len(sides) == 1 and sides[0].z1 == good[1]
+
+
+def test_one_floor_holds_every_edge_of_a_step(monkeypatch):
+    # the smallest |det| on any edge of a step against the largest median
+    # over their starting panels, after every round: the far-left edge's
+    # median of 9e11 stops the step after its first round of 189 points,
+    # where each edge against its own median took 24,297
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    far_left = scalar_system(a_minus1=0.5)
+    with pytest.raises(ContourThroughZero, match=r"^det D vanishes on edge \(-0-1j\) -> 1j "):
+        _adaptive_edges(far_left, [(-1j, 1j), (-30 - 1j, -20 - 1j)])
+    assert sum(points) == 189
+
+
+def _recipe_system(seed, n):
+    # a kernel-free random system drawn as in the random-search survey
+    # recorded in CHANGES.md; find_roots does not read B
+    return _random_real_system(np.random.default_rng([seed, n, 0]), n, kernels=False)
+
+
+def test_straddled_pieces_are_not_held_to_the_floor():
+    # a cut's re-integrated pieces of a straddled panel are not held to the
+    # cut line's floor: holding them jointly with the line fails this search
+    # with "no subdivision line ... kept the zero count consistent"
+    roots = find_roots(_recipe_system(4, 6), SpectrumRegion(-4, 3, -25, 25))
+    assert sum(r.multiplicity for r in roots) == len(roots) == 51
+
+
+@pytest.mark.xfail(strict=True, raises=ContourThroughZero,
+                   reason="the outer contour's floor compares every edge with the largest "
+                          "median of all of them, a false alarm on tall or wide windows")
+@pytest.mark.parametrize("seed, n, window, count", [
+    (1, 7, SpectrumRegion(-4, 3, -25, 25), 63),
+    (2, 4, None, 85),
+])
+def test_zero_free_outer_contours_are_counted(seed, n, window, count):
+    # each edge against its own median answers both; a fix flips the marker
+    sys = _recipe_system(seed, n)
+    roots = find_roots(sys, window or default_region(sys))
+    assert len(roots) == count
 
 
 def test_failing_outer_contour_is_integrated_once(monkeypatch):
@@ -838,12 +880,12 @@ def test_edge_points_per_settled_and_halved_panel(monkeypatch):
     # halved, and each half also costs all 21 nodes in one round
     points = count_points(monkeypatch, "_det_logderiv_many")
     sys = scalar_system(a0=5.0)
-    ((side, _, _),) = _adaptive_edges(sys, [(-1 - 4j, -1 + 4j)])
+    (side,) = _adaptive_edges(sys, [(-1 - 4j, -1 + 4j)])
     assert points == [84] and len(side.t) == 5
     monkeypatch.setattr(spectrum, "_CHUNK", 10**6)  # one call per round
     del points[:]
     near = scalar_system(a0=-0.09)
-    ((side, _, _),) = _adaptive_edges(near, [(-0.1 - 5j, -0.1 + 5j, [(0.0, 1.0)])])
+    (side,) = _adaptive_edges(near, [(-0.1 - 5j, -0.1 + 5j, [(0.0, 1.0)])])
     assert points[:2] == [21, 42] and len(points) > 2
     assert all(p % 42 == 0 for p in points[1:])
     assert len(side.t) - 1 == 1 + sum(points[1:]) // 42
@@ -1089,7 +1131,7 @@ def test_mirrored_outer_contour_matches_full_integration():
     region = SpectrumRegion(-4, 3, -10, 10)
     count, rect, sides = _outer_contour(sys, region)
     assert rect == _inflate(region) and rect.im_min == -rect.im_max
-    full = [side for side, _, _ in _adaptive_edges(sys, _side_ends(rect))]
+    full = _adaptive_edges(sys, _side_ends(rect))
     c, rho = complex(-0.5, 2.0), 0.5 * math.hypot(rect.width, rect.height)
     mirrored, direct = _moments(sides, c, rho, 8), _moments(full, c, rho, 8)
     assert count == round(direct[0].real) > 0

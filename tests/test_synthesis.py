@@ -173,6 +173,24 @@ def test_verify_decay_default_window_reaches_left_of_omega():
     assert abs(abscissa + 2.5) < 1e-9
 
 
+def test_explicit_window_must_reach_minus_omega(monkeypatch):
+    # D(lambda) = lambda + 2.5: a window from -2 hid the root that decides
+    # both answers, so the plan had no residual root and verify_decay said
+    # (True, -inf); now the window is refused before any D is evaluated
+    sys = NeutralSystem(n=1, m=1, p=0, A_minus1=[[0.0]], A0=[[-2.5]], A1=[[0.0]], B=[[1.0]])
+    calls = []
+    monkeypatch.setattr(spectrum, "_det_logderiv_many", lambda *args: calls.append(args))
+    short = r"^region re_min = -2\.0 does not reach -omega = -3\.0$"
+    with pytest.raises(ValueError, match=short):
+        synthesize_stage1(sys, 3.0, SpectrumRegion(-2, 2, -8, 8))
+    with pytest.raises(ValueError, match=short):
+        verify_decay(sys, zero_law(sys), 3.0, SpectrumRegion(-2, 2, -13, 13))
+    assert calls == []
+    monkeypatch.undo()
+    ok, abscissa = verify_decay(sys, zero_law(sys), 3.0, SpectrumRegion(-3, 2, -13, 13))
+    assert not ok and abs(abscissa + 2.5) < 1e-9
+
+
 def test_spectral_abscissa_of_deadbeat_loops_matches_simulation():
     # oracle: the growth rate of a simulated trajectory, which a simple real
     # rightmost root, well separated from the rest, sets late in the run
