@@ -5,7 +5,7 @@ check-observability, synthesize, simulate; neutralctl.system parses every
 input file.  Exit codes: 0 on success, a passing verdict or --help, 2 when a
 checked condition definitely fails, 1 on operational errors (usage errors,
 ValueError for bad files or parameters, OSError for unreadable paths, solver
-failures).
+failures, MemoryError for a grid or horizon no array can hold).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
     except Condition2Violated as e:  # a ValueError, but a definite negative verdict
         print(f"error: {type(e).__name__}: {e}", file=_sys.stderr)
         return EXIT_CONDITION_FAILED
-    except (ValueError, SpectrumError, PlacementError, OSError) as e:
+    except (ValueError, SpectrumError, PlacementError, OSError, MemoryError) as e:
         print(f"error: {type(e).__name__}: {e}", file=_sys.stderr)
         return EXIT_OPERATIONAL
 

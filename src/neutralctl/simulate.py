@@ -143,6 +143,8 @@ class Trajectory:
 def _steps_per_unit(step: float) -> int:
     if not step > 0:  # also NaN
         raise StepNotUnitDivisor(f"step must be positive, got {step}")
+    if not 1.0 / step <= np.iinfo(np.intp).max:  # also an infinite 1/step
+        raise StepNotUnitDivisor(f"step {step} is too small: 1/step exceeds the largest array index")
     q = round(1.0 / step)
     if q < 10 or abs(q * step - 1.0) > 1e-9:
         raise StepNotUnitDivisor(f"step {step} is not 1/q for an integer q >= 10")
@@ -271,14 +273,19 @@ def _simulate_core(sys, history, law, control, horizon, step):
 
     Z = np.empty((q + n_steps + 1, M.shape[0]))  # the history, then every step
     Z[: q + 1] = z_hist
-    dz_prev, dzs, us = history.dz, [], []
+    # dz likewise; the interval that starts at a junction writes its row
+    # last, so the row keeps the right derivative and the matching input
+    DZ = np.empty((q + n_steps + 1, n))
+    DZ[: q + 1] = history.dz
+    dz, u = DZ[q:], np.empty((n_steps + 1, sys.m))
     for start in range(0, n_steps, q):
         steps = min(q, n_steps - start)
         W = Z[start : start + q + steps + 1]  # the previous interval, then this one
         Y = W[q:]
+        now = slice(start, start + steps + 1)  # this interval's rows of dz and u
         # one batch of delayed reads and inputs: the steps + 1 nodes, then
         # the half-steps
-        reads = np.hstack((dz_prev, W[: q + 1, :n]))
+        reads = np.hstack((DZ[start : start + q + 1], W[: q + 1, :n]))
         reads = np.vstack((reads[: steps + 1], _mids(reads)[:steps]))
         c = _inputs(control, sys.m, (start + np.r_[0 : steps + 1, 0.5 : steps]) / q)
         # an overflow is reported below, naming its time, rather than warned of
@@ -307,18 +314,15 @@ def _simulate_core(sys, history, law, control, horizon, step):
                     S[1 << k :] += S[: -(1 << k)] @ PT[k]
                 Y[i0 + 1 : i1 + 1] = S
 
-            dzs.append(Y @ M[:n].T + (g_node + gk)[:, :n])
-            us.append(reads[: steps + 1] @ FD + Y[:, :n] @ law.F0.T + c[: steps + 1])
-        bad = ~np.isfinite(np.hstack((Y[:, :n], dzs[-1], us[-1]))).all(axis=1)
+            dz[now] = Y @ M[:n].T + (g_node + gk)[:, :n]
+            u[now] = reads[: steps + 1] @ FD + Y[:, :n] @ law.F0.T + c[: steps + 1]
+        bad = ~np.isfinite(np.hstack((Y[:, :n], dz[now], u[now]))).all(axis=1)
         if bad.any():
             t = (start + np.argmax(bad)) / q
             raise ValueError(f"the solution overflows: z, dz or u is not finite at t = {t:g}")
-        dz_prev = dzs[-1]
 
-    # junctions carry the right derivative and the matching input
-    dz = np.concatenate([d[:-1] for d in dzs] + [dzs[-1][-1:]])
-    u = np.concatenate([x[:-1] for x in us] + [us[-1][-1:]])
-    z = Z[q:, :n].copy()  # a view would keep the history rows and w alive
+    # views would keep the history rows and w alive
+    z, dz = Z[q:, :n].copy(), dz.copy()
     return Trajectory(h=h, t=np.arange(n_steps + 1) / q, z=z, dz=dz, u=u, v0=v0)
 
 
@@ -379,12 +383,10 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         + [f"dz_{i + 1}" for i in range(n)]
         + [f"u_{i + 1}" for i in range(m)]
     )
-    table = np.column_stack((traj.t, traj.z, traj.dz, traj.u))
-    blocks = [",".join(header)]
-    # one string per block of 256 rows keeps neither the Python floats nor the
-    # row strings of the whole table alive at once
-    for k in range(0, table.shape[0], 256):
-        blocks.append("\n".join(",".join(map(repr, row)) for row in table[k : k + 256].tolist()))
-    del table  # freed before the join, which holds the blocks and the text at once
-    blocks.append("")
-    return "\n".join(blocks)
+    # one string per block of 256 rows, stacked from the trajectory's own
+    # arrays, keeps neither a table nor the Python floats or row strings of
+    # all rows alive at once
+    blocks = ["\n".join(",".join(map(repr, row)) for row in np.column_stack(
+        [x[k : k + 256] for x in (traj.t, traj.z, traj.dz, traj.u)]).tolist())
+        for k in range(0, len(traj.t), 256)]
+    return "\n".join([",".join(header), *blocks, ""])

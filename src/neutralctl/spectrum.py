@@ -339,7 +339,8 @@ _SETTLE = 1e-3
 _PANELS_PER_UNIT = 0.5
 # A panel of _MIN_SEG is kept as it is, and its edge fails when its G10 and
 # K21 counts differ by more than _EDGE_BUDGET, a quarter of the 0.47 that
-# keeps the winding estimate within 0.25 of the true integer.
+# keeps the winding estimate within 0.25 of the true integer.  A cut this
+# close to a panel boundary, in side parameter, reuses the boundary.
 _EDGE_BUDGET = 0.47 / 4.0
 _MIN_SEG = 1e-12
 _MAX_SEGS = 4000
@@ -347,8 +348,6 @@ _MAX_SEGS = 4000
 # fewest chunks of at most this many, all of one size, which bounds the
 # largest D batch in memory.
 _CHUNK = 120
-# A cut this close (in side parameter) to a panel boundary reuses the boundary.
-_SNAP = 1e-12
 
 
 class _Edge:
@@ -360,7 +359,11 @@ class _Edge:
     def __init__(self, z0, z1, segs=None):
         self.own = segs is None
         if self.own:
+            # checked before the grid is built; given panels are the two pieces of a straddled one
             n0 = max(4, math.ceil(abs(z1 - z0) * _PANELS_PER_UNIT))
+            if n0 > _MAX_SEGS:
+                raise QuadratureNotConverged(
+                    f"{n0} starting panels on edge {z0} -> {z1} exceed the budget of {_MAX_SEGS}")
             segs = np.column_stack([np.arange(n0), np.arange(1, n0 + 1)]) / n0
         self.z0, self.z1 = z0, z1
         self.pending = np.asarray(segs, dtype=float)
@@ -368,10 +371,6 @@ class _Edge:
         self.med = self.side = None
         self.done_a, self.done_val = [], []
         self.processed = len(self.pending)
-        if len(self.pending) > _MAX_SEGS:
-            raise QuadratureNotConverged(
-                f"{len(self.pending)} starting panels on edge {z0} -> {z1} exceed the budget of "
-                f"{_MAX_SEGS}")
 
     def nodes(self):
         a = self.pending[:, 0][:, None]
@@ -547,8 +546,6 @@ def _outer_contour(sys, region):
     else:
         sides = _adaptive_edges(sys, ends)
     W = _moments(sides)[0]
-    if not np.isfinite(W):
-        raise ContourThroughZero(f"winding of det D over {rect} is not finite")
     k = _count_of(W)
     if k is None:
         raise QuadratureNotConverged(f"winding {W:.6g} over {rect} is not near an integer")
@@ -678,11 +675,11 @@ def _node_roots(sys, rect, count, sides, tol):
 
 def _straddled(side, c):
     # The panel of a side that its parameter c cuts inside, farther than
-    # _SNAP from both ends, as its two pieces (each one starting panel for
+    # _MIN_SEG from both ends, as its two pieces (each one starting panel for
     # _adaptive_edges), or None
     t = side.t
     i = int(np.searchsorted(t, c))  # t[i - 1] < c <= t[i]
-    if c - t[i - 1] > _SNAP and t[i] - c > _SNAP:
+    if c - t[i - 1] > _MIN_SEG and t[i] - c > _MIN_SEG:
         return [(t[i - 1], c), (c, t[i])]
     return None
 
@@ -696,7 +693,7 @@ def _slice(side, c, piece=None):
         t = np.concatenate([t[: i - 1], piece.t, t[i + 1 :]])
         val = np.concatenate([val[: i - 1], piece.val, val[i:]])
         i += int(np.searchsorted(piece.t, c)) - 1
-    elif c - t[i - 1] <= _SNAP:
+    elif c - t[i - 1] <= _MIN_SEG:
         i -= 1
     zc = side.z0 + c * (side.z1 - side.z0)
     lo_t = t[: i + 1] / c

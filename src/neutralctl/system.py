@@ -34,7 +34,8 @@ __all__ = [
 
 
 class SystemFormatError(ValueError):
-    """Malformed system definition (syntax, missing or unknown fields)."""
+    """Malformed system definition (syntax, missing or unknown fields, or a
+    coefficient entry that is not finite)."""
 
 
 class DimensionError(ValueError):
@@ -45,11 +46,14 @@ class NoOutputError(ValueError):
     """An output matrix is required but the system has p = 0."""
 
 
-def _freeze(a):
+def _freeze(name, a):
     # a row-major copy, also of a transposed view: the layout sets the
     # summation order of matmul and np.linalg.norm, so the last bits of a
-    # derived system's results
+    # derived system's results; every entry must be finite
     a = np.array(a, dtype=float, order="C")
+    if not np.isfinite(a).all():
+        at = tuple(np.argwhere(~np.isfinite(a))[0])
+        raise SystemFormatError(f"{name}[{', '.join(map(str, at))}] = {a[at]} is not finite")
     a.setflags(write=False)
     return a
 
@@ -78,8 +82,8 @@ class KernelSegment:
         # as in SpectrumRegion: -0.0 becomes 0.0, and a string is rejected
         object.__setattr__(self, "a", float(self.a + 0.0))
         object.__setattr__(self, "b", float(self.b + 0.0))
-        object.__setattr__(self, "A2", _freeze(self.A2))
-        object.__setattr__(self, "A3", _freeze(self.A3))
+        object.__setattr__(self, "A2", _freeze("A2", self.A2))
+        object.__setattr__(self, "A3", _freeze("A3", self.A3))
         if not (-1.0 <= self.a < self.b <= 0.0):
             raise SystemFormatError(
                 f"kernel segment [{self.a}, {self.b}] must satisfy -1 <= a < b <= 0"
@@ -115,7 +119,7 @@ class NeutralSystem:
             if isinstance(v, bool) or not (isinstance(v, int) and v >= least):
                 raise DimensionError(f"{name} must be a {what} integer, got {v!r}")
         for name in ("A_minus1", "A0", "A1", "B"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, _freeze(name, getattr(self, name)))
         _check_shape("A_minus1", self.A_minus1, self.n, self.n)
         _check_shape("A0", self.A0, self.n, self.n)
         _check_shape("A1", self.A1, self.n, self.n)
@@ -123,7 +127,7 @@ class NeutralSystem:
         if self.p > 0:
             if self.C is None:
                 raise DimensionError("p > 0 but no output matrix C given")
-            object.__setattr__(self, "C", _freeze(self.C))
+            object.__setattr__(self, "C", _freeze("C", self.C))
             _check_shape("C", self.C, self.p, self.n)
         else:
             if self.C is not None:
@@ -151,7 +155,7 @@ class FeedbackLaw:
 
     def __post_init__(self):
         for name in ("F_minus1", "F0", "F1"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, _freeze(name, getattr(self, name)))
         shape = self.F_minus1.shape
         if self.F0.shape != shape or self.F1.shape != shape:
             raise DimensionError("feedback gain matrices must share one m x n shape")

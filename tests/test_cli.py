@@ -312,6 +312,22 @@ def test_non_finite_argument_is_named_operational_error(ex5_file, tmp_path, caps
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("flag, error", [
+    # an OverflowError traceback before
+    ("--step=1e-300",
+     "StepNotUnitDivisor: step 1e-300 is too small: 1/step exceeds the largest array index"),
+    # numpy _ArrayMemoryError tracebacks before: each grid asks for more than
+    # any address space, so it fails before anything is allocated
+    ("--step=1e-15", "MemoryError: Unable to allocate "),
+    ("--horizon=1e15", "MemoryError: Unable to allocate "),
+], ids=["step-1e-300", "step-1e-15", "horizon-1e15"])
+def test_grid_no_array_holds_is_operational_error(ex5_file, tmp_path, capsys, flag, error):
+    code = run("simulate", "--system", str(ex5_file), flag, "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_outputs_byte_identical_across_thread_counts(ex5_file, kernel_file, tmp_path,
                                                      monkeypatch, threads):

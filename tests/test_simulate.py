@@ -271,6 +271,13 @@ def test_step_validation(ex5):
         simulate(ex5, History.constant([1.0, 0.0], 10), horizon=1.05, step=0.1)
 
 
+def test_step_too_small_for_any_grid(ex5):
+    # OverflowError("cannot convert float infinity to integer") before
+    with pytest.raises(StepNotUnitDivisor,
+                       match=r"^step 5e-324 is too small: 1/step exceeds the largest array index$"):
+        simulate(ex5, History.constant([1.0, 0.0], 10), horizon=1.0, step=5e-324)
+
+
 def test_history_grid_mismatch(ex5):
     with pytest.raises(HistoryGridMismatch):
         simulate(ex5, History.constant([1.0, 0.0], 50), horizon=1.0, step=0.01)

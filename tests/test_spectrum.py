@@ -840,6 +840,33 @@ def test_edge_over_the_panel_budget_fails_before_evaluating(monkeypatch):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("top", [1e6, 1e300])
+def test_panel_budget_is_checked_before_the_grid(monkeypatch, top):
+    # the right edge's 500,065 starting panels at Im 1e6 used to be laid out,
+    # 16 MB, before the budget failed them; at 1e300 numpy raised "Maximum
+    # allowed size exceeded" building the grid
+    sys = scalar_system(a_minus1=0.5, a0=-1.0, a1=0.2)
+    points = count_points(monkeypatch, "_det_logderiv_many")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"^\d+ starting panels on edge .* exceed the budget of 4000$"):
+            count_zeros(sys, SpectrumRegion(-2, 1, -top, top))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == []
+    assert peak < 1_000_000
+
+
+def test_overflowed_winding_is_not_near_an_integer(monkeypatch, ex5):
+    # a winding that overflows is a quadrature failure, not a zero on the
+    # contour: ContourThroughZero "winding ... is not finite" before
+    monkeypatch.setattr(spectrum, "_moments", lambda sides: np.array([complex(math.inf, 0.0)]))
+    with pytest.raises(QuadratureNotConverged, match=r"^winding inf\+0j over .* is not near an integer$"):
+        count_zeros(ex5, _EX5_REGION)
+
+
 def test_default_region_of_a_far_right_root():
     # the root 3000 stretches the default window's bottom edge to 6,003,
     # which starts from 3,002 panels, under the budget (7,505 at 1.25 panels

@@ -77,6 +77,36 @@ def test_parse_rejects_non_finite_and_boolean_numbers(text):
         parse_system(text)
 
 
+def _with_entry(name, value):
+    # a system with n = m = 2, an output, one kernel and a feedback law, with
+    # value written at entry [0, 1] of the named matrix
+    mats = {k: np.eye(2) for k in ("A_minus1", "A0", "A1", "B", "A2", "A3",
+                                   "F_minus1", "F0", "F1")}
+    mats["C"] = np.ones((1, 2))
+    mats[name][0, 1] = value
+    law = FeedbackLaw(mats["F_minus1"], mats["F0"], mats["F1"])
+    sys = NeutralSystem(n=2, m=2, p=1, A_minus1=mats["A_minus1"], A0=mats["A0"],
+                        A1=mats["A1"], B=mats["B"], C=mats["C"],
+                        kernels=(KernelSegment(-1.0, -0.5, mats["A2"], mats["A3"]),))
+    return sys, law
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["A_minus1", "A0", "A1", "B", "C", "A2", "A3",
+                                  "F_minus1", "F0", "F1"])
+def test_constructors_reject_non_finite_coefficients(name, value):
+    # as History does for its samples: the matrix and its first bad entry.
+    # Before, a NaN A_minus1 reached check_condition2 as "SVD did not
+    # converge" and find_roots as ContourThroughZero "det D is not finite"
+    with pytest.raises(SystemFormatError, match=rf"^{name}\[0, 1\] = {value} is not finite$"):
+        _with_entry(name, value)
+
+
+def test_constructors_accept_finite_extremes():
+    sys, law = _with_entry("A0", np.finfo(float).max)
+    assert sys.A0[0, 1] == np.finfo(float).max and law.F0[0, 1] == 0.0
+
+
 @pytest.mark.parametrize("value", ["5", "null"])
 def test_parse_rejects_kernels_that_are_not_an_array(value):
     # an uncaught TypeError before
