@@ -20,16 +20,10 @@ import numpy as np
 
 from . import analysis, spectrum, svg, synthesis
 from .linalg import DEFAULT_RANK_TOL, PlacementError
-from .simulate import (
-    History,
-    _steps_per_unit,
-    simulate,
-    simulate_closed_loop,
-    trajectory_to_csv,
-)
+from .simulate import History, _steps_per_unit, simulate_closed_loop, trajectory_to_csv
 from .spectrum import DEFAULT_ROOT_TOL, SpectrumError, SpectrumRegion
 from .synthesis import Condition2Violated
-from .system import load_system, parse_feedback, parse_history, transpose_dual
+from .system import load_system, parse_feedback, parse_history, transpose_dual, zero_law
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 1
@@ -158,11 +152,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     sysm = load_system(args.system)
-    region = None
-    if not (args.re_min is None and args.re_max is None and args.im_max is None):
-        # missing bounds come from the window the synthesis picks without flags
-        region = _resolve_region(args, functools.partial(
-            synthesis._plan_region, sysm, args.omega, args.tol_rank))
+    # missing bounds come from the window the synthesis picks without flags
+    region = _resolve_region(args, functools.partial(
+        synthesis._plan_region, sysm, args.omega, args.tol_rank))
     plan = synthesis.synthesize_stage1(
         sysm, args.omega, region, tol_rank=args.tol_rank, tol_root=args.tol_root
     )
@@ -185,11 +177,11 @@ def _cmd_simulate(args) -> int:
     else:
         z, dz = parse_history(Path(args.history).read_text(encoding="utf-8"))
         history = History.from_samples(z, q, dz)
-    if args.feedback is not None:
-        law = parse_feedback(Path(args.feedback).read_text(encoding="utf-8"), sysm.m, sysm.n)
-        traj = simulate_closed_loop(sysm, law, history, horizon=args.horizon, step=args.step)
+    if args.feedback is None:
+        law = zero_law(sysm)
     else:
-        traj = simulate(sysm, history, control=None, horizon=args.horizon, step=args.step)
+        law = parse_feedback(Path(args.feedback).read_text(encoding="utf-8"), sysm.m, sysm.n)
+    traj = simulate_closed_loop(sysm, law, history, horizon=args.horizon, step=args.step)
     outdir = Path(args.out)
     _write(outdir, "trajectory.csv", trajectory_to_csv(traj))
     _write(outdir, "trajectory.svg", svg.trajectory_svg(traj))

@@ -585,17 +585,16 @@ def count_zeros(sys: NeutralSystem, region: SpectrumRegion) -> int:
 
 
 def _residuals(sys, lams):
-    # per point, as find_roots defines it: D and the denominator from one
-    # pass over D's terms; a zero M is left out of the denominator, as
+    # per point, as find_roots defines it: sigma_min(D) over the normwise
+    # denominator, summed over D's terms; a zero M is left out of it, as
     # inf * 0 is NaN
     lam = np.asarray(lams, dtype=complex)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        T, scale = lam * np.eye(sys.n), np.abs(lam)
+        scale = np.abs(lam)
         for w, M in _terms(sys, lam, False):
-            T = T - w * M
             if norm := np.linalg.norm(M):
                 scale = scale + np.abs(w) * norm
-    sig = np.linalg.svd(T, compute_uv=False)[:, -1:, None]
+    sig = np.linalg.svd(delta_many(sys, lams), compute_uv=False)[:, -1:, None]
     return np.divide(sig, scale, out=np.zeros_like(sig), where=scale > 0).ravel().tolist()
 
 
@@ -603,12 +602,12 @@ def _newton(sys, starts, mults):
     # Multiplicity-aware Newton from every start at once, one batch per
     # iteration.  For multiple roots |det| bottoms out at the cancellation
     # noise of the matrix entries, so each start stops at its first step
-    # that does not lower |det|, and one whose det is 0 (D singular), or
-    # whose logderiv is zero or not finite, stops there: (best point or None,
-    # iterations) per start.  The update is Python's
-    # complex division, whose rounding numpy's does not share.
+    # that does not lower |det|, and one whose logderiv is zero or not
+    # finite (nan where det is 0) stops there: (best point or None,
+    # iterations) per start.  The update is Python's complex division, whose
+    # rounding numpy's does not share.
     lam = [complex(z) for z in starts]
-    best, best_mag = [None] * len(lam), [math.inf] * len(lam)
+    best = [(None, math.inf)] * len(lam)  # (point, |det|) per start
     out = [None] * len(lam)
     live = list(range(len(lam)))
     for iterations in range(1, 61):
@@ -616,20 +615,18 @@ def _newton(sys, starts, mults):
         going = []
         for j, dj, gj in zip(live, det, logd):
             mag = abs(complex(dj))
-            if not mag < best_mag[j]:
-                out[j] = best[j], iterations
-            else:
-                best[j], best_mag[j] = lam[j], mag
-                if mag == 0.0 or gj == 0 or not np.isfinite(gj):
-                    out[j] = best[j], iterations
-                else:
+            if mag < best[j][1]:
+                best[j] = lam[j], mag
+                if gj != 0 and np.isfinite(gj):
                     lam[j] = lam[j] - mults[j] / complex(gj)
                     going.append(j)
+                    continue
+            out[j] = best[j][0], iterations
         live = going
         if not live:
             return out
     for j in live:
-        out[j] = best[j], 60
+        out[j] = best[j][0], 60
     return out
 
 

@@ -58,11 +58,16 @@ def _freeze(name, a):
     return a
 
 
+def _shape_of(name, mat):
+    # "<name> has shape RxC", or its n-D shape when it is not a matrix
+    if mat.ndim == 2:
+        return f"{name} has shape {mat.shape[0]}x{mat.shape[1]}"
+    return f"{name} has {mat.ndim}-D shape {mat.shape}"
+
+
 def _check_shape(name, mat, rows, cols):
     if mat.shape != (rows, cols):
-        raise DimensionError(
-            f"{name} has shape {mat.shape[0]}x{mat.shape[1]}, expected {rows}x{cols}"
-        )
+        raise DimensionError(f"{_shape_of(name, mat)}, expected {rows}x{cols}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,10 @@ class FeedbackLaw:
 
     def __post_init__(self):
         for name in ("F_minus1", "F0", "F1"):
-            object.__setattr__(self, name, _freeze(name, getattr(self, name)))
+            gain = _freeze(name, getattr(self, name))
+            if gain.ndim != 2:
+                raise DimensionError(f"{_shape_of(name, gain)}, expected m x n")
+            object.__setattr__(self, name, gain)
         shape = self.F_minus1.shape
         if self.F0.shape != shape or self.F1.shape != shape:
             raise DimensionError("feedback gain matrices must share one m x n shape")

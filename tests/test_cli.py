@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import neutralctl
-from neutralctl import spectrum
+from neutralctl import spectrum, svg
 from neutralctl.cli import main
+from neutralctl.simulate import History, simulate, trajectory_to_csv
+from neutralctl.synthesis import plan_to_dict, synthesize_stage1
+from neutralctl.system import load_system, parse_history
 
 FOUND_JSON = """{
   "n": 2, "m": 1, "p": 0,
@@ -259,6 +262,42 @@ def test_simulate_with_feedback_file(ex5_file, tmp_path):
     assert abs(float(last[1]) - 1.0) < 1e-8
     assert abs(float(last[2]) - 3.0) < 1e-8
 
+
+
+@pytest.mark.parametrize("with_history", [False, True])
+def test_simulate_without_feedback_writes_the_open_loop_simulation(kernel_file, tmp_path,
+                                                                   with_history):
+    # the command runs the zero law; its files are the library's open-loop
+    # simulate() on the same history, horizon and step, byte for byte
+    sysm = load_system(kernel_file)
+    history = History.constant(np.ones(sysm.n), 50)
+    flags = []
+    if with_history:
+        theta = -1.0 + np.arange(51) / 50
+        hist = tmp_path / "hist.json"
+        hist.write_text(json.dumps({"z": np.stack([np.cos(theta), 1 + theta], 1).tolist()}))
+        z, dz = parse_history(hist.read_text())
+        history = History.from_samples(z, 50, dz)
+        flags = ["--history", str(hist)]
+    out = tmp_path / "out"
+    code = run("simulate", "--system", str(kernel_file), *flags, "--step", "0.02",
+               "--horizon", "2.0", "--out", str(out))
+    assert code == 0
+    traj = simulate(sysm, history, horizon=2.0, step=0.02)
+    assert (out / "trajectory.csv").read_bytes() == trajectory_to_csv(traj).encode()
+    assert (out / "trajectory.svg").read_bytes() == svg.trajectory_svg(traj).encode()
+
+
+@pytest.mark.parametrize("fixture", ["ex5_file", "kernel_file"])
+def test_synthesize_without_region_flags_writes_the_library_plan(request, tmp_path, fixture):
+    # the window comes from the plan's own default, as synthesize_stage1
+    # picks it when given none
+    path = request.getfixturevalue(fixture)
+    out = tmp_path / "out"
+    assert run("synthesize", "--system", str(path), "--omega", "1.0", "--out", str(out)) == 0
+    plan = synthesize_stage1(load_system(path), 1.0)
+    expected = json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
+    assert (out / "plan.json").read_text() == expected
 
 def test_missing_system_file_is_operational_error(tmp_path, capsys):
     code = run("spectrum", "--system", str(tmp_path / "nope.json"), "--out", str(tmp_path))

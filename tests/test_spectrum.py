@@ -422,6 +422,26 @@ def test_find_roots_batches_per_search(ex5, monkeypatch):
     assert len(batches) <= 10
 
 
+
+def test_residual_probes_are_counted_as_delta_points(monkeypatch):
+    # the residual test takes D from delta_many, so a search's D points and
+    # batches are its log-derivative ones plus one batch per residual call,
+    # of one point per probe (equal counts when the residual built its own D)
+    points = count_points(monkeypatch, "delta_many")
+    logd = count_points(monkeypatch, "_det_logderiv_many")
+    probes = []
+    inner = spectrum._residuals
+
+    def counted(sys, lams):
+        probes.append(len(lams))
+        return inner(sys, lams)
+
+    monkeypatch.setattr(spectrum, "_residuals", counted)
+    roots = find_roots(kernel_system(), SpectrumRegion(-4, 3, -25, 25))
+    assert len(probes) > 1 and sum(probes) >= len([r for r in roots if r.lam.imag >= 0])
+    assert sum(points) == sum(logd) + sum(probes)
+    assert len(points) == len(logd) + len(probes)
+
 def test_find_roots_memory_on_a_tall_window(monkeypatch):
     # an n = 2 system on the tall window of the spectrum-wide benchmark: no
     # D batch above 120 points (640 when each edge was integrated alone) and

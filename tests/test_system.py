@@ -370,3 +370,42 @@ def test_string_bounds_are_rejected():
         SpectrumRegion("-1", 1, -1, 1)
     with pytest.raises(TypeError):
         KernelSegment("-1", 0, np.zeros((1, 1)), np.zeros((1, 1)))
+
+
+def _one_state_system(field, value):
+    # n = m = p = 1 with one kernel segment, the named coefficient replaced
+    mats = {"A_minus1": [[0.5]], "A0": [[-1.0]], "A1": [[0.2]], "B": [[1.0]], "C": [[1.0]],
+            "A2": [[0.1]], "A3": [[0.0]]}
+    mats[field] = value
+    return NeutralSystem(n=1, m=1, p=1, A_minus1=mats["A_minus1"], A0=mats["A0"],
+                         A1=mats["A1"], B=mats["B"], C=mats["C"],
+                         kernels=(KernelSegment(-1.0, 0.0, mats["A2"], mats["A3"]),))
+
+
+@pytest.mark.parametrize("field, value, got", [
+    ("A_minus1", 0.5, "0-D shape ()"),
+    ("A_minus1", [0.5], "1-D shape (1,)"),
+    ("A0", np.ones((1, 1, 1)), "3-D shape (1, 1, 1)"),
+    ("B", [1.0], "1-D shape (1,)"),
+    ("C", 0.3, "0-D shape ()"),
+    ("A2", 0.1, "0-D shape ()"),
+    ("A3", [[[0.0]]], "3-D shape (1, 1, 1)"),
+    ("A1", [[0.2, 0.0]], "shape 1x2"),
+])
+def test_coefficient_shapes_name_the_matrix(field, value, got):
+    # a scalar, vector or 3-D coefficient is a DimensionError naming the
+    # matrix and its dimensions (IndexError or a "1x1, expected 1x1" message
+    # while the message read shape[0] and shape[1]); a 2-D one keeps RxC
+    with pytest.raises(DimensionError, match=f"^{re.escape(f'{field} has {got}, expected 1x1')}$"):
+        _one_state_system(field, value)
+
+
+@pytest.mark.parametrize("gains, got", [
+    ((0.5, 0.5, 0.5), "F_minus1 has 0-D shape ()"),
+    (([[1.0]], [1.0], [[1.0]]), "F0 has 1-D shape (1,)"),
+    ((np.ones((1, 1, 1)),) * 3, "F_minus1 has 3-D shape (1, 1, 1)"),
+])
+def test_feedback_gains_must_be_matrices(gains, got):
+    # three gains of one shape that is not m x n were accepted
+    with pytest.raises(DimensionError, match=f"^{re.escape(got)}, expected m x n$"):
+        FeedbackLaw(*gains)
